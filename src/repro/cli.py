@@ -86,6 +86,7 @@ import argparse
 import os
 import signal
 import sys
+from typing import Any
 
 from repro.analysis.reports import render_table, render_verdict_rows
 from repro.core.cache import aggregate_stats
@@ -590,222 +591,102 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return run_serve(config)
 
 
-def _cmd_chaos_serve(args: argparse.Namespace, modes: tuple) -> int:
-    """The ``repro chaos --serve`` branch: torture the job server."""
-    from repro.resilience.chaos import MODE_EXIT, MODE_KILL
-    from repro.serve.chaos import default_battery, serve_chaos_sweep
-
-    bad = [m for m in modes if m not in (MODE_KILL, MODE_EXIT)]
-    if bad:
-        log.error(
-            "chaos --serve: only process-death modes apply (kill, exit), "
-            "not %s",
-            ",".join(bad),
-        )
-        return EXIT_INCONCLUSIVE
-    points = args.points.split(",") if args.points else None
-
-    def progress(result) -> None:
-        log.info(
-            "chaos %s:%d:%s %s%s",
-            result.point,
-            result.hit,
-            result.mode,
-            "ok" if result.ok else "FAIL",
-            f" ({result.detail})" if result.detail else "",
-        )
-
-    sweep = serve_chaos_sweep(
-        battery=default_battery(args.jobs),
-        workdir=args.workdir,
-        modes=modes,
-        max_hits_per_point=args.max_hits,
-        points=points,
-        seed=args.seed,
-        timeout=args.run_timeout,
-        isolation=args.serve_isolation,
-        on_result=progress,
-    )
-    print("== Chaos sweep over `repro serve` ==\n")
-    rows = [
-        [r.point, r.hit, r.mode, r.killed, r.recovered, r.consistent,
-         r.detail]
-        for r in sweep.results
-    ]
-    print(
-        render_table(
-            ["crashpoint", "hit", "mode", "killed", "recovered",
-             "consistent", "detail"],
-            rows,
-        )
-    )
-    print("\n" + sweep.describe())
-    if not sweep.results:
-        log.warning("no server crashpoints were reachable — nothing tested")
-        return EXIT_INCONCLUSIVE
-    if sweep.ok:
-        print(
-            "every kill/restart cycle recovered: none lost, none "
-            "duplicated, stored verdicts byte-identical"
-        )
-        return EXIT_OK
-    print("UNEXPECTED: some kill/restart cycle lost or corrupted a job!")
-    return EXIT_UNEXPECTED
-
-
-def _cmd_chaos_net(args: argparse.Namespace) -> int:
-    """The ``repro chaos --net`` branch: torture the wire, not the disk.
-
-    Wraps a real server in the fault-injecting proxy and sweeps every
-    fault class x protocol phase, driving the battery through the
-    resilient streaming client.  Exit 0: every cell completed with the
-    clean-network store bytes and dedupe-answered resubmission; 1: some
-    cell lost, duplicated, or diverged; EX_UNAVAILABLE (69): the clean
-    baseline itself never came up — the server is unreachable even
-    without faults, so the sweep has nothing to measure.
-    """
-    from repro.serve.chaos import default_battery
-    from repro.serve.netchaos import netchaos_sweep
-
-    faults = args.net_faults.split(",") if args.net_faults else None
-    phases = args.net_phases.split(",") if args.net_phases else None
-
-    def progress(result) -> None:
-        log.info(
-            "netchaos %s@%s %s (injected=%d reconnects=%d)%s",
-            result.fault,
-            result.phase,
-            "ok" if result.ok else "FAIL",
-            result.injected,
-            result.reconnects,
-            f" ({result.detail})" if result.detail else "",
-        )
-
-    try:
-        sweep = netchaos_sweep(
-            battery=default_battery(args.jobs),
-            workdir=args.workdir,
-            faults=faults,
-            phases=phases,
-            seed=args.seed,
-            run_timeout=args.run_timeout,
-            on_result=progress,
-        )
-    except ValueError as exc:
-        log.error("chaos --net: %s", exc)
-        return EXIT_INCONCLUSIVE
-    print("== Network chaos sweep over `repro serve` ==\n")
-    rows = [
-        [r.fault, r.phase, r.completed, r.consistent, r.deduped,
-         r.injected, r.reconnects, r.detail]
-        for r in sweep.results
-    ]
-    print(
-        render_table(
-            ["fault", "phase", "completed", "consistent", "deduped",
-             "injected", "reconnects", "detail"],
-            rows,
-        )
-    )
-    print("\n" + sweep.describe())
-    if sweep.error:
-        print("UNAVAILABLE: the clean-network baseline never served")
-        return EXIT_SERVER_UNREACHABLE
-    if not sweep.results:
-        log.warning("no fault cells selected — nothing tested")
-        return EXIT_INCONCLUSIVE
-    if sweep.ok:
-        print(
-            "every fault cell held the contract: none lost, none "
-            "duplicated, stores byte-identical, resubmission deduped"
-        )
-        return EXIT_OK
-    print("UNEXPECTED: some network fault lost or corrupted a job!")
-    return EXIT_UNEXPECTED
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    """``repro chaos``: kill/resume sweep over every reachable crashpoint.
+    """``repro chaos``: strike → recover → check over every sweep cell.
 
-    Runs the given campaign argv uninterrupted to capture baseline
-    stdout, enumerates the crashpoints that run reaches, then for each
-    selected (point, hit, mode) kills a fresh run at that exact moment,
-    resumes it from the on-disk checkpoint, and verifies the resumed
-    output is byte-identical to the baseline.  Exit 0: every cycle
-    identical; 1: at least one diverged; 2: nothing reachable/usage.
-
-    With ``--serve`` the target is the job server instead: kill it at
-    every server crashpoint, restart, and require that no acknowledged
-    job is lost, none runs twice, and stored verdicts byte-match an
-    uninterrupted cycle.
+    The target is a campaign argv (after ``--``: kill a checkpointed
+    run at each reachable crashpoint, resume it, require stdout
+    byte-identical to an uninterrupted run), the job server
+    (``--serve``: kill it at each durability crashpoint, restart,
+    require the store/ledger contract) or the wire (``--net``: every
+    fault kind x protocol phase through the fault-injecting proxy).
+    Exit 0: every cycle held; 1: some cycle broke its contract; 2:
+    nothing to test or usage error; 69: the server baseline never
+    served.
     """
-    from repro.resilience.chaos import MODE_STALL, _MODES, chaos_sweep
+    from repro.resilience.chaos import (
+        _MODES,
+        MODE_STALL,
+        CampaignTarget,
+        chaos_sweep,
+    )
 
     modes = tuple(m for m in args.modes.split(",") if m)
-    bad = [m for m in modes if m not in _MODES or m == MODE_STALL]
-    if bad or not modes:
+    if not modes or any(m not in _MODES or m == MODE_STALL for m in modes):
         log.error(
             "chaos: bad --modes %r (choose from kill, exit, raise)",
             args.modes,
         )
         return EXIT_INCONCLUSIVE
-    if args.net:
-        return _cmd_chaos_net(args)
-    if args.serve:
-        return _cmd_chaos_serve(args, modes)
-    argv = list(args.argv)
-    if argv and argv[0] == "--":
-        argv = argv[1:]
-    if not argv:
-        log.error(
-            "chaos: pass the campaign argv after --, e.g. "
-            "repro chaos -- impossibility --protocol quorum --n 3"
-        )
-        return EXIT_INCONCLUSIVE
-    points = args.points.split(",") if args.points else None
+
+    def csv(value):
+        return value.split(",") if value else None
 
     def progress(result) -> None:
         log.info(
-            "chaos %s:%d:%s %s%s",
-            result.point,
-            result.hit,
-            result.mode,
+            "chaos %s %s%s",
+            ":".join(map(str, result.cell)),
             "ok" if result.ok else "FAIL",
             f" ({result.detail})" if result.detail else "",
         )
 
-    sweep = chaos_sweep(
-        argv,
-        workdir=args.workdir,
-        modes=modes,
-        max_hits_per_point=args.max_hits,
-        points=points,
-        seed=args.seed,
-        timeout=args.run_timeout,
-        on_result=progress,
-    )
-    print(f"== Chaos sweep over `repro {' '.join(argv)}` ==\n")
-    rows = [
-        [r.point, r.hit, r.mode, r.killed, r.resumed, r.identical, r.detail]
-        for r in sweep.results
-    ]
+    target: Any  # CampaignTarget, ServerTarget or NetTarget
+    try:
+        if args.net or args.serve:
+            from repro.serve.chaos import (
+                NetTarget,
+                ServerTarget,
+                default_battery,
+            )
+
+            battery = default_battery(args.jobs)
+            if args.net:
+                target = NetTarget(
+                    battery, csv(args.net_faults), csv(args.net_phases),
+                    seed=args.seed, timeout=args.run_timeout,
+                )
+            else:
+                target = ServerTarget(battery, timeout=args.run_timeout)
+        else:
+            argv = list(args.argv)
+            if argv[:1] == ["--"]:
+                argv = argv[1:]
+            if not argv:
+                log.error(
+                    "chaos: pass the campaign argv after --, e.g. "
+                    "repro chaos -- impossibility --protocol quorum --n 3"
+                )
+                return EXIT_INCONCLUSIVE
+            target = CampaignTarget(argv, timeout=args.run_timeout)
+        sweep = chaos_sweep(
+            target,
+            workdir=args.workdir,
+            modes=modes,
+            max_hits_per_point=args.max_hits,
+            points=csv(args.points),
+            seed=args.seed,
+            on_result=progress,
+        )
+    except ValueError as exc:
+        log.error("chaos: %s", exc)
+        return EXIT_INCONCLUSIVE
+    print(f"== Chaos sweep over {target.title} ==\n")
     print(
         render_table(
-            ["crashpoint", "hit", "mode", "killed", "resumed",
-             "identical", "detail"],
-            rows,
+            [*target.columns, "detail"], [r.row() for r in sweep.results]
         )
     )
     print("\n" + sweep.describe())
+    if sweep.error:
+        print("UNAVAILABLE: the server baseline never served")
+        return EXIT_SERVER_UNREACHABLE
     if not sweep.results:
-        log.warning(
-            "no crashpoints were reachable for this argv — nothing tested"
-        )
+        log.warning("no cycles selected (nothing reachable) — nothing tested")
         return EXIT_INCONCLUSIVE
     if sweep.ok:
-        print("every kill/resume cycle reproduced the baseline byte-for-byte")
+        print(f"every cycle held the contract: {target.contract}")
         return EXIT_OK
-    print("UNEXPECTED: some kill/resume cycle diverged from the baseline!")
+    print(f"UNEXPECTED: some cycle broke the contract ({target.contract})!")
     return EXIT_UNEXPECTED
 
 
@@ -1002,7 +883,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         metavar="K",
-        help="kill positions tested per crashpoint (seeded selection)",
+        help="kill positions tested per crashpoint, at least 1 (seeded "
+        "selection: first, then last, then seeded interior hits)",
     )
     p.add_argument(
         "--points",
@@ -1016,13 +898,14 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=300.0,
         metavar="SECONDS",
-        help="wall-clock bound per campaign subprocess",
+        help="wall-clock bound per campaign subprocess or server job",
     )
     p.add_argument(
         "--workdir",
         default=None,
         metavar="DIR",
-        help="directory for checkpoints/traces (default: temporary)",
+        help="keep the sweep's checkpoints, traces and server state in a "
+        "fresh subdirectory of DIR (default: a temporary directory)",
     )
     p.add_argument(
         "--serve",
@@ -1037,12 +920,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         metavar="J",
         help="battery size for --serve cycles",
-    )
-    p.add_argument(
-        "--serve-isolation",
-        action="store_true",
-        help="run the server under test with pool process isolation "
-        "(slower cycles; durability results are identical)",
     )
     p.add_argument(
         "--net",

@@ -81,7 +81,7 @@ class _Counters:
 
     __slots__ = (
         "hits", "misses", "intern_hits", "evictions", "sampled",
-        "sample_bytes", "interned",
+        "sample_bytes",
     )
 
     def __init__(self) -> None:
@@ -91,7 +91,6 @@ class _Counters:
         self.evictions = 0
         self.sampled = 0
         self.sample_bytes = 0
-        self.interned = 0
 
 
 def _snapshot(
@@ -112,16 +111,17 @@ def _snapshot(
     )
 
 
-def _retire(counters: _Counters) -> None:
+def _retire(counters: _Counters, interned: dict) -> None:
     """Finalizer: preserve a dead cache's counters for aggregation.
 
-    Only the counters survive — the memo/intern tables are gone with the
-    cache, so a retired snapshot reports zero live entries (its *work*,
-    hits and misses, is what the end-of-run summary needs).
+    Only the counters and the intern table's final size survive — the
+    memo tables are gone with the cache, so a retired snapshot reports
+    zero live entries (its *work*, hits and misses, is what the
+    end-of-run summary needs).
     """
     if counters.hits or counters.misses:
         _RETIRED.append(
-            _snapshot(counters, entries=0, interned=counters.interned)
+            _snapshot(counters, entries=0, interned=len(interned))
         )
 
 
@@ -224,7 +224,7 @@ class CachedSystem:
         self._interned: dict[GlobalState, GlobalState] = {}
         self._counters = _Counters()
         _REGISTRY.add(self)
-        weakref.finalize(self, _retire, self._counters)
+        weakref.finalize(self, _retire, self._counters, self._interned)
 
     # -- identity ----------------------------------------------------------
     @property
@@ -248,11 +248,9 @@ class CachedSystem:
         canonical = self._interned.setdefault(state, state)
         if canonical is not state:
             counters.intern_hits += 1
-        else:
-            counters.interned += 1
-            if counters.sampled < MEMORY_SAMPLES:
-                counters.sampled += 1
-                counters.sample_bytes += _state_bytes(state)
+        elif counters.sampled < MEMORY_SAMPLES:
+            counters.sampled += 1
+            counters.sample_bytes += _state_bytes(state)
         return canonical
 
     # -- the memoized SuccessorSystem face ----------------------------------
@@ -337,7 +335,6 @@ class CachedSystem:
         self._decisions.clear()
         self._nonfaulty.clear()
         self._interned.clear()
-        self._counters.interned = 0
 
     # -- pickling: configuration travels, contents do not --------------------
     def __getstate__(self) -> dict:

@@ -1,4 +1,4 @@
-"""Deterministic crashpoint injection and the chaos resume harness.
+"""Deterministic crashpoint injection and the chaos sweep driver.
 
 The paper's verdicts are machine-checked against adversaries that may
 strike between any two steps; this module points the same adversary at
@@ -50,21 +50,23 @@ Three ways, composable:
 Hit counting is per-process and per-name, so a schedule is a pure
 function of the (deterministic) execution.
 
-The harness
------------
+The sweep driver
+----------------
 
-:func:`chaos_sweep` drives a CLI campaign (``python -m repro ...``)
-through the full kill/resume cycle per reachable crashpoint:
+:func:`chaos_sweep` is the one driver behind every ``repro chaos``
+sweep.  It establishes a **baseline** (an uninterrupted run), enumerates
+**cells** — seeded ``(point, hit, mode)`` picks from a traced census of
+reachable crashpoints, or a fixed fault matrix — and runs one **strike →
+recover → check** cycle per cell.  What a cycle strikes and checks is
+the *target*'s business:
 
-1. run the campaign uninterrupted with a checkpoint — the **baseline**
-   stdout bytes;
-2. run again with tracing to enumerate reachable crashpoints;
-3. for each selected (point, hit): fresh checkpoint, run with the kill
-   spec armed, observe the death, then ``--resume`` (or start fresh if
-   the process died before any checkpoint bytes reached disk) and
-   compare stdout byte-for-byte against the baseline.
+* :class:`CampaignTarget` (here) kills a checkpointed CLI campaign and
+  requires the resumed stdout byte-identical to the baseline's;
+* :mod:`repro.serve.chaos` kills the job server at its durability seams,
+  or puts a fault-injecting proxy in front of it, and checks the
+  store/ledger contract against the baseline's state directory.
 
-Selection is bounded by ``max_hits_per_point`` with a **seeded**
+Hit selection is capped by ``max_hits_per_point`` with a **seeded**
 deterministic sample (first, last, and seeded picks in between), so two
 sweeps over the same build test the same schedule.
 """
@@ -86,8 +88,11 @@ from typing import Optional
 from repro.exitcodes import EXIT_CHAOS_KILLED
 
 __all__ = [
+    "BaselineFailed",
+    "CampaignTarget",
     "ChaosInjected",
     "ChaosResult",
+    "ChaosSweep",
     "CrashSpec",
     "active_plan",
     "chaos_sweep",
@@ -278,89 +283,195 @@ def active_plan(
         _state = previous
 
 
-# -- the chaos resume harness ------------------------------------------------
+# -- the chaos sweep driver ---------------------------------------------------
+
+#: The interpreter every sweep subprocess runs under.
+PYTHON = sys.executable
+
+#: Unarmed resume attempts before a campaign cycle's recovery is declared
+#: stuck (one hop normally completes; more tolerate campaigns that
+#: legitimately stop early, e.g. budget-limited ones).
+MAX_RESUME_HOPS = 8
+
+
+class BaselineFailed(RuntimeError):
+    """A target could not establish its uninterrupted baseline."""
 
 
 @dataclass(frozen=True)
 class ChaosResult:
-    """One crashpoint's kill/resume verdict in a chaos sweep."""
+    """One cell's strike → recover → check verdict.
 
-    point: str
-    hit: int
-    mode: str
-    killed: bool
-    resumed: bool
-    identical: bool
+    *cell* is the target's cell key — ``(point, hit, mode)`` for
+    crashpoint targets, ``(fault, phase)`` for the network matrix;
+    *checks* maps each of the target's check names to whether it held,
+    and *counts* carries per-cycle observations (fault firings,
+    reconnects) that inform but do not decide the verdict.
+    """
+
+    cell: tuple
+    checks: dict
     detail: str = ""
+    counts: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return self.killed and self.resumed and self.identical
+        return all(self.checks.values())
+
+    def row(self) -> list:
+        """The cycle as one table row, in the target's column order."""
+        return [*self.cell, *self.checks.values(), *self.counts.values(),
+                self.detail]
+
+
+def staged_result(
+    cell: tuple, checks: tuple, passed: int, detail: str = ""
+) -> ChaosResult:
+    """A result for sequential *checks* of which the first *passed* held."""
+    return ChaosResult(
+        cell, {name: i < passed for i, name in enumerate(checks)}, detail
+    )
 
 
 @dataclass
 class ChaosSweep:
-    """Everything one :func:`chaos_sweep` run produced."""
+    """Everything one :func:`chaos_sweep` run produced.
 
-    baseline_stdout: bytes
-    baseline_returncode: int
+    *baseline* is whatever the target's uninterrupted run fixed as the
+    expected outcome; *error* is set (and no cycle ran) when that
+    baseline could not be established.
+    """
+
+    baseline: object = None
     reachable: dict = field(default_factory=dict)
     results: list = field(default_factory=list)
+    error: str = ""
 
     @property
     def ok(self) -> bool:
-        return bool(self.results) and all(r.ok for r in self.results)
-
-    def describe(self) -> str:
-        good = sum(1 for r in self.results if r.ok)
         return (
-            f"{len(self.reachable)} reachable crashpoints, "
-            f"{len(self.results)} kill/resume cycles, {good} identical"
+            not self.error
+            and bool(self.results)
+            and all(r.ok for r in self.results)
         )
 
+    def describe(self) -> str:
+        """Cycle counts, then the baseline error and each failed cycle."""
+        good = sum(1 for r in self.results if r.ok)
+        census = (
+            f"{len(self.reachable)} reachable crashpoints, "
+            if self.reachable else ""
+        )
+        lines = [f"{census}{len(self.results)} cycles, {good} ok"]
+        if self.error:
+            lines.append(f"baseline failed: {self.error}")
+        lines.extend(
+            f"FAIL {':'.join(map(str, r.cell))}: {r.detail}"
+            for r in self.results
+            if not r.ok
+        )
+        return "\n".join(lines)
 
-def _run_cli(
-    argv: list,
-    env_extra: dict,
-    timeout: float,
-    python: str,
-) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env.update(env_extra)
-    # The engine lives in src/; inherit the caller's resolution but make
-    # sure a bare checkout works too.
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)))))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src if not existing else f"{src}{os.pathsep}{existing}"
-    proc = subprocess.Popen(
-        [python, "-m", "repro", *argv],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    try:
-        stdout, stderr = proc.communicate(timeout=timeout)
-    except BaseException:
-        # Timeout, Ctrl-C in the sweep, anything: the child must not
-        # outlive this call as an orphan chewing CPU in the background.
-        proc.kill()
-        proc.wait()
-        raise
-    return subprocess.CompletedProcess(
-        proc.args, proc.returncode, stdout, stderr
-    )
+
+def chaos_sweep(
+    target,
+    workdir: Optional[str] = None,
+    modes: tuple = (MODE_KILL,),
+    max_hits_per_point: int = 3,
+    points: Optional[list] = None,
+    seed: int = 0,
+    on_result=None,
+) -> ChaosSweep:
+    """Run *target* through baseline, census, then strike → recover →
+    check once per cell.
+
+    A target supplies ``baseline(dirpath)`` (the uninterrupted run; raise
+    :class:`BaselineFailed` when it cannot be had), ``cycle(dirpath,
+    cell, baseline)`` (one armed strike, its recovery and the check,
+    as a :class:`ChaosResult`), and either a fixed ``cells`` list (the
+    fault matrix) or ``cells = None`` plus ``census(dirpath)`` — the
+    reachable crashpoint hit counts, from which the driver selects
+    ``(point, hit, mode)`` cells.  Crashpoint targets list the fault
+    ``modes`` they support.  Every call gets a fresh directory.
+
+    Args:
+        target: :class:`CampaignTarget`, or a server target from
+            :mod:`repro.serve.chaos`.
+        workdir: parent directory for this sweep's files (a fresh
+            subdirectory is made in it and kept); a temporary directory
+            when None.
+        modes: fault modes injected per selected crashpoint hit.
+        max_hits_per_point: cap on hit positions per crashpoint (seeded
+            selection, first and last hit first); at least 1.
+        points: restrict to these crashpoint names (None = all reachable).
+        seed: hit-selection seed.
+        on_result: optional callback fired with each result as it lands.
+    """
+    if max_hits_per_point < 1:
+        raise ValueError(
+            f"max hits per point must be >= 1, not {max_hits_per_point}"
+        )
+    if target.cells is None:
+        unsupported = [m for m in modes if m not in target.modes]
+        if unsupported or not modes:
+            raise ValueError(
+                f"this target supports {'/'.join(target.modes)} modes, "
+                f"not {','.join(unsupported) or 'none'}"
+            )
+    with _sweep_root(workdir) as root:
+        sweep = ChaosSweep()
+        try:
+            sweep.baseline = target.baseline(_fresh(root, "baseline"))
+        except BaselineFailed as exc:
+            sweep.error = str(exc)
+            return sweep
+        cells = target.cells
+        if cells is None:
+            reachable = target.census(_fresh(root, "census"))
+            sweep.reachable = dict(sorted(reachable.items()))
+            cells = [
+                (point, hit, mode)
+                for point, count in sweep.reachable.items()
+                if points is None or point in points
+                for hit in _select_hits(count, max_hits_per_point, point, seed)
+                for mode in modes
+            ]
+        for cell in cells:
+            name = "cycle-" + ".".join(map(str, cell)).replace("/", "_")
+            result = target.cycle(_fresh(root, name), cell, sweep.baseline)
+            sweep.results.append(result)
+            if on_result is not None:
+                on_result(result)
+        return sweep
+
+
+@contextmanager
+def _sweep_root(workdir: Optional[str]):
+    if workdir is None:
+        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as root:
+            yield root
+    else:
+        os.makedirs(workdir, exist_ok=True)
+        yield tempfile.mkdtemp(prefix="chaos-", dir=workdir)
+
+
+def _fresh(root: str, name: str) -> str:
+    path = os.path.join(root, name)
+    os.makedirs(path)
+    return path
 
 
 def _select_hits(count: int, max_hits: int, point: str, seed: int) -> list:
-    """Deterministically choose which hit indices of a point to kill at.
+    """Deterministically choose at most *max_hits* hit indices of a point.
 
-    Always the first and (when distinct) the last; interior picks are
-    seeded by (seed, point) so sweeps are reproducible.
+    The first hit always, then (when distinct) the last; interior picks
+    are seeded by (seed, point) so sweeps are reproducible.
     """
+    if max_hits < 1:
+        raise ValueError(f"max_hits must be >= 1, not {max_hits}")
     if count <= max_hits:
         return list(range(1, count + 1))
-    picks = {1, count}
+    picks = {1, count} if max_hits > 1 else {1}
     index = 0
     while len(picks) < max_hits:
         token = f"{seed}:{point}:{index}".encode()
@@ -370,180 +481,139 @@ def _select_hits(count: int, max_hits: int, point: str, seed: int) -> list:
     return sorted(picks)
 
 
-def chaos_sweep(
-    argv: list,
-    workdir: Optional[str] = None,
-    modes: tuple = (MODE_KILL,),
-    max_hits_per_point: int = 3,
-    points: Optional[list] = None,
-    seed: int = 0,
-    timeout: float = 300.0,
-    python: str = sys.executable,
-    max_resume_hops: int = 8,
-    on_result=None,
-) -> ChaosSweep:
-    """Kill a campaign at every reachable crashpoint; assert resume parity.
-
-    Args:
-        argv: the ``repro`` subcommand argv *without* checkpoint flags —
-            e.g. ``["impossibility", "--protocol", "quorum", "--n", "3"]``.
-            The harness appends ``--checkpoint``/``--resume`` itself.
-        workdir: directory for checkpoints and traces (a fresh temporary
-            directory when None).
-        modes: fault modes to inject per selected crashpoint
-            (``kill`` and/or ``raise``; ``stall`` is for interactive
-            shutdown tests, not sweeps).
-        max_hits_per_point: cap on kill positions per crashpoint name
-            (seeded selection; first and last hits always included).
-        points: restrict to these crashpoint names (None = all reachable).
-        seed: selection seed (also reused for interior-hit sampling).
-        timeout: per-subprocess wall-clock bound.
-        python: interpreter to launch.
-        max_resume_hops: resume attempts before declaring recovery stuck
-            (each hop runs without chaos armed, so one hop normally
-            completes; >1 tolerates campaigns that legitimately stop
-            early, e.g. budget-limited ones).
-        on_result: optional callback fired with each
-            :class:`ChaosResult` as it lands (progress reporting).
-
-    Returns:
-        A :class:`ChaosSweep` with the baseline, the reachable-point
-        census, and one :class:`ChaosResult` per (point, hit, mode).
-    """
-    own_tmp = None
-    if workdir is None:
-        own_tmp = tempfile.TemporaryDirectory(prefix="repro-chaos-")
-        workdir = own_tmp.name
-    try:
-        quiet_env = {ENV_SPECS: "", ENV_TRACE: "", ENV_SCOPE: ""}
-        baseline_ckpt = os.path.join(workdir, "baseline.ckpt")
-        baseline = _run_cli(
-            argv + ["--checkpoint", baseline_ckpt], quiet_env, timeout, python
-        )
-        sweep = ChaosSweep(
-            baseline_stdout=baseline.stdout,
-            baseline_returncode=baseline.returncode,
-        )
-
-        trace_path = os.path.join(workdir, "trace.txt")
-        _run_cli(
-            argv + ["--checkpoint", os.path.join(workdir, "census.ckpt")],
-            {**quiet_env, ENV_TRACE: trace_path},
-            timeout,
-            python,
-        )
-        reachable: Counter = Counter()
-        if os.path.exists(trace_path):
-            with open(trace_path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        reachable[line] += 1
-        sweep.reachable = dict(sorted(reachable.items()))
-
-        for point in sorted(reachable):
-            if points is not None and point not in points:
-                continue
-            hits = _select_hits(
-                reachable[point], max_hits_per_point, point, seed
-            )
-            for hit in hits:
-                for mode in modes:
-                    result = _kill_and_resume(
-                        argv, workdir, point, hit, mode, sweep,
-                        timeout, python, max_resume_hops,
-                    )
-                    sweep.results.append(result)
-                    if on_result is not None:
-                        on_result(result)
-        return sweep
-    finally:
-        if own_tmp is not None:
-            own_tmp.cleanup()
+def read_trace(path: str) -> Counter:
+    """Hit counts per crashpoint name from a ``REPRO_CRASHPOINT_TRACE`` file."""
+    reachable: Counter = Counter()
+    if os.path.exists(path):
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    reachable[line] += 1
+    return reachable
 
 
-def _kill_and_resume(
-    argv: list,
-    workdir: str,
-    point: str,
-    hit: int,
-    mode: str,
-    sweep: ChaosSweep,
-    timeout: float,
-    python: str,
-    max_resume_hops: int,
-) -> ChaosResult:
-    tag = f"{point}.{hit}.{mode}".replace("/", "_")
-    ckpt = os.path.join(workdir, f"chaos-{tag}.ckpt")
-    spec = f"{point}:{hit}:{mode}"
-    try:
-        wounded = _run_cli(
-            argv + ["--checkpoint", ckpt],
-            {ENV_SPECS: spec, ENV_TRACE: "", ENV_SCOPE: ""},
-            timeout,
-            python,
-        )
-    except subprocess.TimeoutExpired:
-        return ChaosResult(
-            point, hit, mode, killed=False, resumed=False, identical=False,
-            detail=f"kill run exceeded the {timeout:g}s timeout",
-        )
-    if mode == MODE_KILL:
-        killed = wounded.returncode == -signal.SIGKILL
-    elif mode == MODE_EXIT:
-        killed = wounded.returncode == EXIT_STATUS
-    else:  # raise: any abnormal, non-signal failure counts as the injection
-        killed = wounded.returncode not in (0,)
-    if not killed:
-        return ChaosResult(
-            point, hit, mode, killed=False, resumed=False, identical=False,
-            detail=(
-                f"expected the process to die at {spec}, got exit "
-                f"{wounded.returncode}"
-            ),
-        )
-
-    # Resume (or restart when the kill predates any checkpoint bytes).
-    final = None
-    for _ in range(max_resume_hops):
-        if os.path.exists(ckpt):
-            resumed_argv = argv + ["--resume", ckpt]
-        else:
-            resumed_argv = argv + ["--checkpoint", ckpt]
-        try:
-            final = _run_cli(
-                resumed_argv,
-                {ENV_SPECS: "", ENV_TRACE: "", ENV_SCOPE: ""},
-                timeout,
-                python,
-            )
-        except subprocess.TimeoutExpired:
-            return ChaosResult(
-                point, hit, mode, killed=True, resumed=False,
-                identical=False,
-                detail=f"resume run exceeded the {timeout:g}s timeout",
-            )
-        if final.returncode == sweep.baseline_returncode:
-            break
-    if final is None or final.returncode != sweep.baseline_returncode:
-        return ChaosResult(
-            point, hit, mode, killed=True, resumed=False, identical=False,
-            detail=(
-                f"resume never reached the baseline exit code "
-                f"{sweep.baseline_returncode} (last: "
-                f"{None if final is None else final.returncode}; stderr "
-                f"tail: "
-                f"{(final.stderr[-300:].decode(errors='replace') if final else '')!r})"
-            ),
-        )
-    identical = final.stdout == sweep.baseline_stdout
-    detail = ""
-    if not identical:
-        detail = (
-            f"stdout diverged: baseline {len(sweep.baseline_stdout)}B, "
-            f"resumed {len(final.stdout)}B"
-        )
-    return ChaosResult(
-        point, hit, mode, killed=True, resumed=True, identical=identical,
-        detail=detail,
+def sweep_env(extra: Optional[dict] = None) -> dict:
+    """The environment of a sweep subprocess: chaos disarmed unless
+    *extra* arms it, and this checkout's ``src`` importable."""
+    env = dict(os.environ)
+    env.update({ENV_SPECS: "", ENV_TRACE: "", ENV_SCOPE: ""})
+    env.update(extra or {})
+    src = os.path.dirname(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     )
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src if not existing else f"{src}{os.pathsep}{existing}"
+    return env
+
+
+def died(returncode: Optional[int], mode: str) -> bool:
+    """Whether *returncode* is the death a *mode* crashpoint causes."""
+    if mode == MODE_KILL:
+        return returncode == -signal.SIGKILL
+    if mode == MODE_EXIT:
+        return returncode == EXIT_STATUS
+    return returncode != 0  # raise: any abnormal exit is the injection
+
+
+class CampaignTarget:
+    """A checkpointed CLI campaign: kill it, resume it, diff its stdout.
+
+    *argv* is the ``repro`` subcommand argv *without* checkpoint flags,
+    e.g. ``["impossibility", "--protocol", "quorum", "--n", "3"]``; the
+    target appends ``--checkpoint``/``--resume`` itself.  A cycle runs
+    the campaign with one crashpoint armed, observes the death, then
+    resumes (or restarts, when the death predates any checkpoint bytes)
+    until the baseline exit code comes back, and requires stdout
+    byte-identical to the baseline's.
+    """
+
+    CHECKS = ("killed", "resumed", "identical")
+    columns = ("crashpoint", "hit", "mode", *CHECKS)
+    modes = (MODE_KILL, MODE_EXIT, MODE_RAISE)
+    cells = None
+    contract = "resumed stdout byte-identical to the uninterrupted run"
+
+    def __init__(self, argv: list, timeout: float = 300.0) -> None:
+        self.argv = list(argv)
+        self.timeout = timeout
+        self.title = f"`repro {' '.join(self.argv)}`"
+
+    def _run(self, flags: list, env_extra: Optional[dict] = None):
+        proc = subprocess.Popen(
+            [PYTHON, "-m", "repro", *self.argv, *flags],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=sweep_env(env_extra),
+        )
+        try:
+            stdout, stderr = proc.communicate(timeout=self.timeout)
+        except BaseException:
+            # Timeout, Ctrl-C in the sweep, anything: the child must not
+            # outlive this call as an orphan chewing CPU in the background.
+            proc.kill()
+            proc.wait()
+            raise
+        return subprocess.CompletedProcess(
+            proc.args, proc.returncode, stdout, stderr
+        )
+
+    def baseline(self, dirpath: str) -> subprocess.CompletedProcess:
+        """The uninterrupted run: its stdout and exit code."""
+        return self._run(["--checkpoint", os.path.join(dirpath, "run.ckpt")])
+
+    def census(self, dirpath: str) -> Counter:
+        """Crashpoint hit counts of one traced, unarmed run."""
+        trace = os.path.join(dirpath, "trace.txt")
+        self._run(
+            ["--checkpoint", os.path.join(dirpath, "run.ckpt")],
+            {ENV_TRACE: trace},
+        )
+        return read_trace(trace)
+
+    def cycle(
+        self, dirpath: str, cell: tuple, baseline: subprocess.CompletedProcess
+    ) -> ChaosResult:
+        """Kill at *cell*, resume from disk, compare against *baseline*."""
+        point, hit, mode = cell
+        spec = f"{point}:{hit}:{mode}"
+        ckpt = os.path.join(dirpath, "run.ckpt")
+        try:
+            wounded = self._run(["--checkpoint", ckpt], {ENV_SPECS: spec})
+        except subprocess.TimeoutExpired:
+            return staged_result(
+                cell, self.CHECKS, 0,
+                f"kill run exceeded the {self.timeout:g}s timeout",
+            )
+        if not died(wounded.returncode, mode):
+            return staged_result(
+                cell, self.CHECKS, 0,
+                f"expected the process to die at {spec}, got exit "
+                f"{wounded.returncode}",
+            )
+        for _ in range(MAX_RESUME_HOPS):
+            flag = "--resume" if os.path.exists(ckpt) else "--checkpoint"
+            try:
+                final = self._run([flag, ckpt])
+            except subprocess.TimeoutExpired:
+                return staged_result(
+                    cell, self.CHECKS, 1,
+                    f"resume run exceeded the {self.timeout:g}s timeout",
+                )
+            if final.returncode == baseline.returncode:
+                break
+        else:
+            tail = final.stderr[-300:].decode(errors="replace")
+            return staged_result(
+                cell, self.CHECKS, 1,
+                f"resume never reached the baseline exit code "
+                f"{baseline.returncode} (last: {final.returncode}; stderr "
+                f"tail: {tail!r})",
+            )
+        if final.stdout != baseline.stdout:
+            return staged_result(
+                cell, self.CHECKS, 2,
+                f"stdout diverged: baseline {len(baseline.stdout)}B, "
+                f"resumed {len(final.stdout)}B",
+            )
+        return staged_result(cell, self.CHECKS, 3)

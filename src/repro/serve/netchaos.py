@@ -1,4 +1,4 @@
-"""Deterministic fault-injecting TCP proxy and the network chaos sweep.
+"""Deterministic fault-injecting TCP proxy: the network adversary.
 
 The disk seams got their adversary in PR 5/6 (``crashpoint`` + kill -9
 sweeps); this module is the same idea for the wire.  A
@@ -33,50 +33,29 @@ randomness comes from sha256 over ``(seed, label, index)``, exactly the
 :class:`~repro.resilience.retry.RetryPolicy` trick, so a sweep replays
 identically from its seed.  The proxy never calls ``random``.
 
-:func:`netchaos_sweep` is the harness behind ``repro chaos --net``: for
-every (fault kind × phase) cell it boots a fresh server, wraps it in a
-proxy armed with that fault, drives the standard battery through a
-:class:`~repro.serve.client.ResilientClient`, resubmits the battery to
-prove dedupe answers it without re-execution, then drains the server
-and asserts the PR 6 durability contract against a clean-network
-baseline: none lost, none twice, byte-identical stores.
+:func:`default_matrix` enumerates the fault × phase cells that
+``repro chaos --net`` sweeps; the sweep itself is
+:class:`repro.serve.chaos.NetTarget` on the shared chaos driver.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import socket
 import struct
-import subprocess
-import sys
-import tempfile
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Optional
-
-from repro.resilience.retry import Deadline, RetryPolicy
-from repro.serve.chaos import (
-    _ledger_done_counts,
-    _start_server,
-    _stop,
-    _store_records,
-    default_battery,
-)
-from repro.serve.client import ResilientClient, ServerGone, wait_for_endpoint
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = [
     "FAULT_KINDS",
     "FaultSchedule",
     "NetChaosProxy",
-    "NetChaosResult",
-    "NetChaosSweep",
     "NetFault",
     "PHASES",
     "default_matrix",
-    "netchaos_sweep",
 ]
 
 FAULT_LATENCY = "latency"
@@ -493,72 +472,6 @@ class NetChaosProxy:
         raise AssertionError(f"unhandled fault kind {fault.kind!r}")
 
 
-# ---------------------------------------------------------------------------
-# The sweep harness behind `repro chaos --net`.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NetChaosResult:
-    """Outcome of one (fault kind, phase) cell."""
-
-    fault: str
-    phase: str
-    completed: bool  # every battery job reached a final verdict
-    consistent: bool  # store/ledger match the clean baseline exactly
-    deduped: bool  # resubmission answered without re-execution
-    injected: int  # fault firings observed at the proxy
-    reconnects: int  # client backoffs taken
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.completed and self.consistent and self.deduped
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        line = (
-            f"[{status}] {self.fault}@{self.phase}: injected={self.injected} "
-            f"reconnects={self.reconnects}"
-        )
-        if self.detail:
-            line += f" ({self.detail})"
-        return line
-
-
-@dataclass
-class NetChaosSweep:
-    """Aggregate outcome of a network chaos sweep."""
-
-    baseline_jobs: int = 0
-    results: list[NetChaosResult] = field(default_factory=list)
-    error: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return (
-            not self.error
-            and bool(self.results)
-            and all(result.ok for result in self.results)
-        )
-
-    def describe(self) -> str:
-        lines = [
-            f"netchaos sweep: baseline {self.baseline_jobs} job(s), "
-            f"{len(self.results)} fault cell(s)"
-        ]
-        if self.error:
-            lines.append(f"[FAIL] {self.error}")
-        lines.extend(result.describe() for result in self.results)
-        verdict = "PASS" if self.ok else "FAIL"
-        failed = sum(1 for result in self.results if not result.ok)
-        lines.append(
-            f"netchaos sweep {verdict}: {len(self.results) - failed}/"
-            f"{len(self.results)} cells ok"
-        )
-        return "\n".join(lines)
-
-
 def default_matrix(
     faults: Optional[list[str]] = None,
     phases: Optional[list[str]] = None,
@@ -590,224 +503,3 @@ def default_matrix(
             continue
         cells.extend(NetFault(kind, phase) for phase in picked_phases)
     return cells
-
-
-def _drive_battery(
-    endpoint: tuple[str, int],
-    battery: list[dict],
-    seed: int,
-    timeout: float,
-) -> tuple[list[dict], int]:
-    """Run every job to a final verdict through *endpoint*.
-
-    Returns the final responses plus the reconnect count.  Raises
-    :class:`ServerGone` if any job cannot be finished inside *timeout*.
-    """
-    retry = RetryPolicy(
-        max_retries=12, base_delay=0.05, multiplier=1.7, jitter=0.5, seed=seed
-    )
-    client = ResilientClient(*endpoint, timeout=10.0, retry=retry)
-    finals = []
-    for job in battery:
-        final = client.run(job, deadline=Deadline.after(timeout))
-        if final.get("status") != "done":
-            raise ServerGone(f"job did not finish: {final!r}")
-        finals.append(final)
-    return finals, client.reconnects
-
-
-def _check_cell(
-    dirpath: str,
-    baseline: dict[str, list[bytes]],
-    baseline_done: dict[str, int],
-) -> tuple[bool, str]:
-    """PR 6 contract vs the clean baseline: none lost, none twice,
-    byte-identical store payloads."""
-    records = _store_records(dirpath)
-    problems = []
-    for fingerprint, payloads in baseline.items():
-        got = records.get(fingerprint)
-        if got is None:
-            problems.append(f"lost {fingerprint[:12]}")
-        elif len(got) != 1:
-            problems.append(f"duplicated {fingerprint[:12]} x{len(got)}")
-        elif got != payloads:
-            problems.append(f"store bytes differ for {fingerprint[:12]}")
-    for fingerprint in records:
-        if fingerprint not in baseline:
-            problems.append(f"unexpected record {fingerprint[:12]}")
-    done_counts = _ledger_done_counts(dirpath)
-    for key, count in done_counts.items():
-        if count > 1:
-            problems.append(f"ledger done record x{count} for {key[:24]}")
-    for key in baseline_done:
-        if key not in done_counts:
-            problems.append(f"ledger lost completion {key[:24]}")
-    return (not problems, "; ".join(problems[:4]))
-
-
-@dataclass
-class _CycleOutcome:
-    """Everything one server+proxy cycle produced."""
-
-    injected: Counter = field(default_factory=Counter)
-    stats: dict = field(default_factory=dict)
-    reconnects: int = 0
-    error: str = ""
-
-
-def _run_cycle(
-    root: str,
-    name: str,
-    schedule: FaultSchedule,
-    battery: list[dict],
-    seed: int,
-    run_timeout: float,
-    python: str,
-) -> _CycleOutcome:
-    """Boot a fresh server + proxy, drive and resubmit the battery, drain.
-
-    The battery is driven *through the proxy*; the resubmission also
-    goes through the (still hostile) proxy — the dedupe path must be
-    able to answer it under fire.  Stats are read directly from the
-    server afterwards so fault injection cannot corrupt the reading.
-    """
-    outcome = _CycleOutcome()
-    dirpath = os.path.join(root, name)
-    os.makedirs(dirpath, exist_ok=True)
-    proc = _start_server(
-        python,
-        dirpath,
-        env_extra={},
-        isolation=False,
-        timeout=run_timeout,
-        extra_args=("--heartbeat-interval", "0.5"),
-    )
-    try:
-        try:
-            server_endpoint = wait_for_endpoint(dirpath, timeout=30.0)
-        except ServerGone as exc:
-            outcome.error = f"server never became ready: {exc}"
-            return outcome
-        with NetChaosProxy(*server_endpoint, schedule=schedule) as proxy:
-            try:
-                finals, outcome.reconnects = _drive_battery(
-                    proxy.endpoint, battery, seed, run_timeout
-                )
-                resubmits, more = _drive_battery(
-                    proxy.endpoint, battery, seed + 1, run_timeout
-                )
-                outcome.reconnects += more
-                for first, second in zip(finals, resubmits):
-                    if first.get("result") != second.get("result"):
-                        outcome.error = "resubmitted verdict differs"
-                        break
-            except (OSError, RuntimeError, ValueError, KeyError) as exc:
-                # ServerGone is ConnectionError, ProtocolError is
-                # RuntimeError; Value/KeyError cover malformed frames.
-                outcome.error = f"{type(exc).__name__}: {exc}"
-            outcome.injected = Counter(proxy.injected)
-        if not outcome.error:
-            direct = ResilientClient(*server_endpoint, timeout=10.0)
-            try:
-                outcome.stats = direct.stats(deadline=Deadline.after(20.0))
-            except (OSError, RuntimeError, ValueError) as exc:
-                outcome.error = f"stats read failed: {exc}"
-    finally:
-        try:
-            _stop(proc, timeout=run_timeout)
-        except (OSError, subprocess.SubprocessError):
-            if not outcome.error:
-                outcome.error = "server did not stop on SIGTERM"
-    return outcome
-
-
-def netchaos_sweep(
-    battery: Optional[list[dict]] = None,
-    workdir: Optional[str] = None,
-    faults: Optional[list[str]] = None,
-    phases: Optional[list[str]] = None,
-    seed: int = 0,
-    run_timeout: float = 120.0,
-    python: str = sys.executable,
-    fault_window: int = 6,
-    on_result: Optional[Callable[[NetChaosResult], None]] = None,
-) -> NetChaosSweep:
-    """Sweep every fault cell against a real server, via the proxy.
-
-    One clean cycle (passthrough proxy, same streaming client)
-    establishes the baseline store bytes; each fault cell then must
-    reproduce them exactly despite the adversary, and a resubmitted
-    battery must be answered from dedupe — ``stored`` stays flat at the
-    baseline count and every resubmit returns the same verdict.
-    """
-    battery = battery if battery is not None else default_battery()
-    sweep = NetChaosSweep()
-    own_tmp = None
-    if workdir is None:
-        own_tmp = tempfile.TemporaryDirectory(prefix="repro-netchaos-")
-        root = own_tmp.name
-    else:
-        root = tempfile.mkdtemp(prefix="netchaos-", dir=workdir)
-    try:
-        # Clean-network baseline through a passthrough proxy.
-        base = _run_cycle(
-            root, "baseline", FaultSchedule(), battery, seed,
-            run_timeout, python,
-        )
-        baseline = _store_records(os.path.join(root, "baseline"))
-        if base.error or not baseline:
-            sweep.error = (
-                f"clean baseline failed: {base.error or 'empty store'}"
-            )
-            return sweep
-        baseline_done = _ledger_done_counts(os.path.join(root, "baseline"))
-        baseline_stored = int(
-            base.stats.get("counters", {}).get("stored", 0)
-        )
-        sweep.baseline_jobs = len(battery)
-
-        for cell_index, fault in enumerate(
-            default_matrix(faults=faults, phases=phases)
-        ):
-            name = f"cell-{cell_index:02d}-{fault.kind}-{fault.phase}"
-            # One partition trigger is a whole fault window by itself
-            # (the timed heal governs later connections); re-arming it
-            # on every early connection would chain partitions end to
-            # end and starve the client's retry budget.
-            count = 1 if fault.kind == FAULT_PARTITION else fault_window
-            schedule = FaultSchedule.window(fault, count=count)
-            cell = _run_cycle(
-                root, name, schedule, battery, seed, run_timeout, python
-            )
-            injected = sum(
-                count
-                for key, count in cell.injected.items()
-                if key.startswith(fault.kind) or key.startswith("partition")
-            )
-            consistent, detail = _check_cell(
-                os.path.join(root, name), baseline, baseline_done
-            )
-            stored = int(cell.stats.get("counters", {}).get("stored", -1))
-            deduped = not cell.error and stored == baseline_stored
-            if not deduped and not cell.error:
-                detail = (
-                    f"{detail}; " if detail else ""
-                ) + f"stored={stored} != baseline {baseline_stored}"
-            result = NetChaosResult(
-                fault=fault.kind,
-                phase=fault.phase,
-                completed=not cell.error,
-                consistent=consistent,
-                deduped=deduped,
-                injected=injected,
-                reconnects=cell.reconnects,
-                detail=cell.error or detail,
-            )
-            sweep.results.append(result)
-            if on_result is not None:
-                on_result(result)
-    finally:
-        if own_tmp is not None:
-            own_tmp.cleanup()
-    return sweep

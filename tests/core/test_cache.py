@@ -262,6 +262,32 @@ class TestStats:
         assert after.hits - before.hits >= 1
         assert after.misses - before.misses >= 2
 
+    def test_retired_interned_is_the_table_size(self, toy):
+        """Re-interning a canonical object (every miss on an already-seen
+        state does) is not a new state: a retired snapshot must report
+        the intern table's size, not the number of intern calls."""
+        import gc
+
+        from repro.core import cache as cache_module
+
+        cache = CachedSystem(toy)
+        root = toy.state("x")
+        for _ in range(2):
+            for state in [root] + [child for _, child in cache.successors(root)]:
+                cache.successors(state)
+                cache.failed_at(state)
+                cache.decisions(state)
+        live = cache.stats().interned
+        assert live == 5  # x, its children a and b, and theirs
+        retired = len(cache_module._RETIRED)
+        del cache
+        gc.collect()
+        assert len(cache_module._RETIRED) == retired + 1
+        snapshot = cache_module._RETIRED[-1]
+        assert snapshot.interned == live
+        per_state = snapshot.bytes_estimate // snapshot.interned
+        assert snapshot.bytes_estimate == per_state * live
+
     def test_explore_snapshots_cache_stats(self, toy):
         from repro.core.exploration import explore
 

@@ -11,7 +11,7 @@ the ``chaos`` marker and run in the dedicated CI job::
 
 import pytest
 
-from repro.resilience.chaos import chaos_sweep
+from repro.resilience.chaos import CampaignTarget, chaos_sweep
 
 SEQUENTIAL_ARGV = ["lower-bound", "--n", "3", "--t", "1"]
 POOLED_ARGV = ["impossibility", "--protocol", "quorum", "--n", "3",
@@ -20,24 +20,19 @@ COMPACTING_ARGV = [*SEQUENTIAL_ARGV, "--compact-every", "2"]
 
 
 def _assert_all_identical(sweep):
-    assert sweep.baseline_returncode == 0
-    bad = [r for r in sweep.results if not r.ok]
-    assert sweep.ok, "diverged cycles: " + "; ".join(
-        f"{r.point}:{r.hit}:{r.mode} ({r.detail or 'stdout differs'})"
-        for r in bad
-    )
+    assert sweep.baseline.returncode == 0
+    assert sweep.ok, sweep.describe()
 
 
 class TestChaosSmoke:
     def test_mid_append_and_unit_boundary_kills_recover(self, tmp_path):
         sweep = chaos_sweep(
-            SEQUENTIAL_ARGV,
+            CampaignTarget(SEQUENTIAL_ARGV, timeout=120.0),
             workdir=str(tmp_path),
             points=["journal.append.mid", "campaign.unit.start"],
-            max_hits_per_point=1,
-            timeout=120.0,
+            max_hits_per_point=2,
         )
-        assert {r.point for r in sweep.results} == {
+        assert {r.cell[0] for r in sweep.results} == {
             "journal.append.mid", "campaign.unit.start",
         }
         _assert_all_identical(sweep)
@@ -47,7 +42,9 @@ class TestChaosSmoke:
 class TestChaosSweeps:
     def test_sequential_every_reachable_crashpoint(self, tmp_path):
         sweep = chaos_sweep(
-            SEQUENTIAL_ARGV, workdir=str(tmp_path), max_hits_per_point=2
+            CampaignTarget(SEQUENTIAL_ARGV),
+            workdir=str(tmp_path),
+            max_hits_per_point=2,
         )
         # The census must see the whole instrumented engine path, not
         # a trivially short run.
@@ -57,24 +54,22 @@ class TestChaosSweeps:
 
     def test_pooled_campaign_recovers(self, tmp_path):
         sweep = chaos_sweep(
-            POOLED_ARGV,
+            CampaignTarget(POOLED_ARGV, timeout=300.0),
             workdir=str(tmp_path),
             points=["pool.dispatch", "pool.merge",
                     "campaign.unit.finish", "journal.append.mid"],
-            max_hits_per_point=1,
-            timeout=300.0,
+            max_hits_per_point=2,
         )
         assert "pool.dispatch" in sweep.reachable
         _assert_all_identical(sweep)
 
     def test_compaction_mid_rename_recovers(self, tmp_path):
         sweep = chaos_sweep(
-            COMPACTING_ARGV,
+            CampaignTarget(COMPACTING_ARGV, timeout=120.0),
             workdir=str(tmp_path),
             points=["journal.compact.pre", "journal.compact.rename.pre",
                     "journal.compact.post"],
-            max_hits_per_point=1,
-            timeout=120.0,
+            max_hits_per_point=2,
         )
         assert "journal.compact.rename.pre" in sweep.reachable
         _assert_all_identical(sweep)

@@ -17,6 +17,8 @@ import time
 
 import pytest
 
+from repro.resilience.chaos import chaos_sweep
+from repro.serve.chaos import NetTarget
 from repro.serve.client import ProtocolError, ServerGone, recv_line
 from repro.serve.netchaos import (
     FAULT_KINDS,
@@ -25,7 +27,6 @@ from repro.serve.netchaos import (
     NetChaosProxy,
     NetFault,
     default_matrix,
-    netchaos_sweep,
 )
 
 
@@ -329,31 +330,32 @@ class TestSweepSmoke:
         """Baseline + one drop@request cell: the full PR 6 contract —
         none lost, none twice, byte-identical stores, resubmission
         answered from dedupe — under an adversarial wire."""
-        sweep = netchaos_sweep(
-            battery=[
-                {"kind": "probe", "work": 60, "value": "net-smoke-0"},
-                {"kind": "probe", "work": 61, "value": "net-smoke-1"},
-            ],
+        battery = [
+            {"kind": "probe", "work": 60, "value": "net-smoke-0"},
+            {"kind": "probe", "work": 61, "value": "net-smoke-1"},
+        ]
+        sweep = chaos_sweep(
+            NetTarget(battery, faults=["drop"], phases=["request"],
+                      timeout=90.0),
             workdir=str(tmp_path),
-            faults=["drop"],
-            phases=["request"],
-            run_timeout=90.0,
         )
         assert sweep.error == ""
-        assert sweep.baseline_jobs == 2
+        assert len(sweep.baseline[0].records) == 2
         assert len(sweep.results) == 1
         result = sweep.results[0]
         assert result.ok, sweep.describe()
-        assert result.injected >= 1
-        assert result.reconnects >= 1
+        assert result.counts["injected"] >= 1
+        assert result.counts["reconnects"] >= 1
 
 
 @pytest.mark.chaos
 class TestFullNetChaosMatrix:
     def test_every_fault_class_and_phase(self, tmp_path):
         """The acceptance sweep: all 18 cells of `repro chaos --net`."""
-        sweep = netchaos_sweep(workdir=str(tmp_path), run_timeout=180.0)
+        sweep = chaos_sweep(NetTarget(timeout=180.0), workdir=str(tmp_path))
         assert sweep.ok, sweep.describe()
         assert len(sweep.results) == 18
-        killing = [r for r in sweep.results if r.fault != "latency"]
-        assert all(r.injected >= 1 for r in killing), sweep.describe()
+        killing = [r for r in sweep.results if r.cell[0] != "latency"]
+        assert all(r.counts["injected"] >= 1 for r in killing), (
+            sweep.describe()
+        )

@@ -220,7 +220,7 @@ class TestCompactionAndGC:
         """Evicting a verdict is a cache eviction, not a correctness
         event: a resubmitted job re-runs to the same verdict, and the
         ledger still records its completion exactly once."""
-        from repro.serve.chaos import _ledger_done_counts
+        from repro.serve.chaos import ledger_done_counts
 
         proc = _start(tmp_path)
         try:
@@ -248,10 +248,10 @@ class TestCompactionAndGC:
         # The compact op also compacted the ledger into a base snapshot,
         # so raw unit records may be gone — but never duplicated — and
         # every completion must survive in the snapshot.
-        done_counts = _ledger_done_counts(str(tmp_path))
+        done_counts = ledger_done_counts(str(tmp_path))
         assert all(count == 1 for count in done_counts.values()), done_counts
         from repro.resilience.journal import CampaignJournal
-        from repro.serve.chaos import LEDGER_NAME
+        from repro.serve.server import LEDGER_NAME
 
         ledger = CampaignJournal.resume(str(tmp_path / LEDGER_NAME))
         try:
