@@ -9,11 +9,15 @@ behaviour.
 Here a layering is defined **constructively** over a concrete model: every
 layer action carries its own expansion into a sequence of the model's
 primitive environment actions (:meth:`Layering.expand`).  Applying a layer
-action is folding its expansion through the model, so the monotone
-embedding required by the paper's definition holds *by construction* — and
-:func:`verify_layering_embedding` re-checks it mechanically for tests:
-each primitive in the expansion must be enabled in the model at the point
-it is applied.
+action is applying its expansion through the model in one call,
+``model.apply_many(state, expand(state, action))``, so the monotone
+embedding required by the paper's definition holds *by construction*.
+Models may fuse that call (one working copy, one :class:`GlobalState` at
+the end, no intermediate states built), but it must equal the fold of
+single-primitive :meth:`Model.apply` steps.  :func:`verify_layering_embedding`
+is the reference: it re-runs the expansion one primitive at a time, checks
+each primitive is enabled where it is applied, and checks the endpoint
+against :meth:`Layering.apply`.
 
 Layerings implement the :class:`SuccessorSystem` interface consumed by the
 analyzers in :mod:`repro.core` (valence, connectivity, bivalence): they are
@@ -77,16 +81,13 @@ class Layering(ABC):
         """The primitive model actions a layer action expands into.
 
         The expansion may depend on the state (e.g. which processes have
-        pending writes).  Folding the expansion through
-        :meth:`Model.apply` defines :meth:`apply`.
+        pending writes).  Applying the expansion with
+        :meth:`Model.apply_many` defines :meth:`apply`.
         """
 
     def apply(self, state: GlobalState, action: Hashable) -> GlobalState:
-        """Apply one layer: fold the expansion through the model."""
-        current = state
-        for primitive in self.expand(state, action):
-            current = self._model.apply(current, primitive)
-        return current
+        """Apply one layer: the model applies the whole expansion."""
+        return self._model.apply_many(state, self.expand(state, action))
 
     # -- SuccessorSystem ---------------------------------------------------
     def successors(
@@ -125,24 +126,30 @@ def verify_layering_embedding(
 ) -> list[GlobalState]:
     """Check one layer's expansion is a legal model execution.
 
+    This is the reference the fused :meth:`Model.apply_many` path is
+    checked against: it steps through the expansion one primitive at a
+    time with :meth:`Model.apply`, building every intermediate state.
+
     Returns the intermediate model states (including both endpoints).
     Raises ``AssertionError`` if any primitive of the expansion is not
     enabled in the model where it is applied, or if the folded endpoint
     differs from :meth:`Layering.apply` — i.e. if the monotone-embedding
-    property of Section 4 fails.
+    property of Section 4 fails.  The errors are raised explicitly, not
+    with ``assert``, so the check also holds under ``python -O``.
     """
     model = layering.model
     trace = [state]
     current = state
     for primitive in layering.expand(state, action):
-        enabled = list(model.actions(current))
-        assert primitive in enabled, (
-            f"layer action {action!r}: primitive {primitive!r} not enabled "
-            f"at an intermediate state"
-        )
+        if primitive not in list(model.actions(current)):
+            raise AssertionError(
+                f"layer action {action!r}: primitive {primitive!r} not "
+                f"enabled at an intermediate state"
+            )
         current = model.apply(current, primitive)
         trace.append(current)
-    assert current == layering.apply(state, action), (
-        f"layer action {action!r}: folded endpoint disagrees with apply()"
-    )
+    if current != layering.apply(state, action):
+        raise AssertionError(
+            f"layer action {action!r}: folded endpoint disagrees with apply()"
+        )
     return trace

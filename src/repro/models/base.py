@@ -6,7 +6,8 @@ and provides:
 * the initial global states (one per input assignment — the paper's
   ``Con_0`` for consensus, ``D_0`` for decision problems);
 * the *primitive* environment actions enabled at a state, and the
-  transition function applying one;
+  transition function applying one (:meth:`Model.apply`) or a whole
+  sequence of them (:meth:`Model.apply_many`);
 * the failure bookkeeping: who is *failed at* a state, per the model's
   ``Faulty`` semantics (Section 2).
 
@@ -15,7 +16,17 @@ layer action expands into a sequence of primitive model actions, which is
 exactly the paper's requirement that an ``S``-run embeds monotonically into
 a run of the model (Section 4, "layering functions").  The expansion is
 explicit (:meth:`repro.layerings.base.Layering.expand`) so tests can verify
-the embedding rather than trust it.
+the embedding rather than trust it.  A layer is applied in one call,
+``model.apply_many(state, expansion)``: only the layer's endpoint is a
+vertex of the layered graph, so a model may fold the whole expansion over
+one mutable working copy of ``(env, locals)`` and build a single
+:class:`GlobalState` at the end.  Whatever it does, ``apply_many`` must
+equal the per-primitive fold of :meth:`Model.apply` — same endpoint, same
+``ValueError`` on an illegal primitive — and
+:func:`repro.layerings.base.verify_layering_embedding` checks exactly that.
+The default ``apply_many`` *is* that fold; the asynchronous models override
+it and define ``apply(s, a)`` as ``apply_many(s, (a,))``, so each model
+keeps one transition implementation.
 
 All models here follow two conventions that the analyses rely on:
 
@@ -59,6 +70,20 @@ class Model(ABC):
     @abstractmethod
     def apply(self, state: GlobalState, action: Hashable) -> GlobalState:
         """Apply one primitive environment action."""
+
+    def apply_many(
+        self, state: GlobalState, primitives: Iterable[Hashable]
+    ) -> GlobalState:
+        """Apply a sequence of primitive actions, in order.
+
+        Must equal folding :meth:`apply` over *primitives* and raise what
+        that fold raises.  This default is the fold itself; models whose
+        layers expand to many primitives override it to skip building
+        the intermediate states.
+        """
+        for primitive in primitives:
+            state = self.apply(state, primitive)
+        return state
 
     @abstractmethod
     def failed_at(self, state: GlobalState) -> frozenset[int]:

@@ -1,5 +1,10 @@
 """Unit tests for the layering framework itself."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.layerings.base import Layering, verify_layering_embedding
@@ -49,6 +54,42 @@ class TestEmbeddingVerification:
         state = model.initial_state((0, 1, 1))
         with pytest.raises(AssertionError, match="disagrees"):
             verify_layering_embedding(layering, state, ("weird",))
+
+    def test_caught_under_optimize_flag(self):
+        # ``python -O`` strips assert statements; the check must not be one.
+        root = Path(__file__).resolve().parents[2]
+        script = """
+from repro.layerings.base import verify_layering_embedding
+from repro.models.mobile import MobileModel
+from repro.protocols.floodset import FloodSet
+from tests.layerings.test_base import BrokenLayering, WrongFoldLayering
+
+assert False, "asserts are live: not running under -O"
+model = MobileModel(FloodSet(2), 3)
+state = model.initial_state((0, 1, 1))
+for layering, action in (
+    (BrokenLayering(model), ("broken",)),
+    (WrongFoldLayering(model), ("weird",)),
+):
+    try:
+        verify_layering_embedding(layering, state, action)
+    except AssertionError as exc:
+        print("caught:", exc)
+    else:
+        print("missed:", type(layering).__name__)
+"""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(root / "src"), str(root)]
+        ))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, cwd=root, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert len(lines) == 2, result.stdout
+        assert "not enabled" in lines[0] and lines[0].startswith("caught:")
+        assert "disagrees" in lines[1] and lines[1].startswith("caught:")
 
     def test_trace_endpoints(self):
         model = SharedMemoryModel(QuorumDecide(2), 3)

@@ -84,6 +84,23 @@ class TestRP401Nondeterminism:
         )
         assert by_code(findings, "RP401")
 
+    def test_fused_apply_is_an_entry_point(self, tmp_path):
+        # Layering.apply reaches apply_many through the model attribute,
+        # which the call graph cannot resolve; the method is an entry.
+        findings = deep(
+            tmp_path,
+            {
+                "model.py": """
+                import random
+
+                class Noisy(Model):
+                    def apply_many(self, state, primitives):
+                        return random.choice([state])
+                """
+            },
+        )
+        assert by_code(findings, "RP401")
+
     def test_nondet_outside_transition_surface_is_fine(self, tmp_path):
         # harness code may use randomness/clocks freely
         findings = deep(
