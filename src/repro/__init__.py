@@ -82,8 +82,6 @@ from repro.resilience import (
     CampaignCheckpoint,
     CheckAllCheckpoint,
     ExplorationCheckpoint,
-    load_checkpoint,
-    save_checkpoint,
 )
 
 __version__ = "1.0.0"
@@ -98,8 +96,6 @@ __all__ = [
     "ConsensusReport",
     "EIG",
     "ExplorationCheckpoint",
-    "load_checkpoint",
-    "save_checkpoint",
     "Execution",
     "ExplorationLimitExceeded",
     "FloodSet",

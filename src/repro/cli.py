@@ -29,11 +29,10 @@ Resource limits and resumability (the resilience layer):
   the other subcommands accept the flags but run strict analyses whose
   partial results are not checkpointable.
 * Checkpoints are written as an append-only **journal**
-  (:mod:`repro.resilience.journal`): one small record per finished unit
-  (fsync cadence set by ``--checkpoint-interval``, default every unit),
-  self-healing on load if a crash tore the final record.  Legacy
-  whole-file checkpoints still resume (they are migrated into a journal
-  at the write target).
+  (:mod:`repro.resilience.journal`): one small record per finished unit,
+  fsync'd as the unit completes, self-healing on load if a crash tore
+  the final record.  ``--resume A --checkpoint B`` continues A's
+  campaign in a fresh journal at B and leaves A untouched.
 * Ctrl-C and SIGTERM exit with code 130, after writing the checkpoint
   if requested.
 * ``repro chaos -- <subcommand ...>`` turns the crash tolerance on
@@ -103,66 +102,28 @@ from repro.log import configure as configure_logging
 from repro.log import get_logger
 from repro.protocols.registry import PROTOCOLS
 from repro.resilience.budget import Budget
-from repro.resilience.checkpoint import (
-    CampaignCheckpoint,
-    CheckpointMismatch,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.resilience.journal import CampaignJournal, is_journal
+from repro.resilience.checkpoint import CheckpointMismatch
+from repro.resilience.journal import CampaignJournal, load_journal
 from repro.resilience.pool import pool_config_for
 
 log = get_logger("cli")
 
 
 def _save_campaign(args: argparse.Namespace) -> None:
-    """Write the campaign checkpoint if ``--checkpoint`` was given.
+    """Make the checkpoint journal durable if ``--checkpoint`` was given.
 
-    An unwritable path must not crash a run that already has a result
-    to report: the failure becomes a diagnostic, not a traceback.
+    The journal already appended every record as it happened.  An
+    unwritable disk must not crash a run that already has a result to
+    report: the failure becomes a diagnostic, not a traceback.
     """
-    if args.checkpoint and args.campaign is not None:
-        if isinstance(args.campaign, CampaignJournal):
-            # The journal already appended every record as it happened;
-            # make whatever is buffered durable.
-            try:
-                args.campaign.sync()
-            except OSError as exc:
-                log.warning("cannot sync checkpoint journal: %s", exc)
-                return
-            log.info("checkpoint journal synced to %s", args.checkpoint)
-            return
-        try:
-            save_checkpoint(args.campaign, args.checkpoint)
-        except OSError as exc:
-            log.warning("cannot write checkpoint: %s", exc)
-            return
-        log.info("checkpoint written to %s", args.checkpoint)
-
-
-def _autosave(args: argparse.Namespace):
-    """The per-unit campaign autosave callback (or None).
-
-    Fired by the campaign engine as each unit resolves — with parallel
-    workers, as they *finish*, so a crash of the driver itself loses at
-    most the units still in flight.  Save failures stay silent here; the
-    final :func:`_save_campaign` reports them once.
-    """
-    if not (args.checkpoint and args.campaign is not None):
-        return None
-    if isinstance(args.campaign, CampaignJournal):
-        # A journal persists each record/suspend the moment the campaign
-        # engine applies it — a per-unit whole-file rewrite would undo
-        # exactly the O(1)-per-unit property the journal exists for.
-        return None
-
-    def save(_key, _report) -> None:
-        try:
-            save_checkpoint(args.campaign, args.checkpoint)
-        except OSError:
-            pass
-
-    return save
+    if args.campaign is None:
+        return
+    try:
+        args.campaign.sync()
+    except OSError as exc:
+        log.warning("cannot sync checkpoint journal: %s", exc)
+        return
+    log.info("checkpoint journal synced to %s", args.checkpoint)
 
 
 def _log_cache_stats(args: argparse.Namespace) -> None:
@@ -214,7 +175,6 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
         campaign=args.campaign,
         workers=args.workers,
         pool=args.pool,
-        on_unit=_autosave(args),
         cache=args.cache,
         preflight=args.preflight,
         shard_states=args.shard_states,
@@ -229,7 +189,6 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
             campaign=args.campaign,
             workers=args.workers,
             pool=args.pool,
-            on_unit=_autosave(args),
             cache=args.cache,
             preflight=args.preflight,
             shard_states=args.shard_states,
@@ -266,7 +225,6 @@ def _cmd_impossibility(args: argparse.Namespace) -> int:
         campaign=args.campaign,
         workers=args.workers,
         pool=args.pool,
-        on_unit=_autosave(args),
         cache=args.cache,
         preflight=args.preflight,
         shard_states=args.shard_states,
@@ -723,14 +681,6 @@ def _add_budget_flags(parser, suppress: bool = False) -> None:
         help="resume a campaign previously saved with --checkpoint",
     )
     parser.add_argument(
-        "--checkpoint-interval",
-        type=int,
-        default=default(1),
-        metavar="N",
-        help="fsync the checkpoint journal every N completed units "
-        "(1 = every unit is durable the moment it finishes)",
-    )
-    parser.add_argument(
         "--compact-every",
         type=int,
         default=default(64),
@@ -1154,33 +1104,22 @@ def main(argv: list[str] | None = None) -> int:
     if args.resume:
         target = args.checkpoint or args.resume
         try:
-            try:
-                empty = os.path.getsize(args.resume) == 0
-            except OSError as exc:
-                log.warning("cannot resume: %s", exc)
-                return EXIT_INCONCLUSIVE
+            empty = os.path.getsize(args.resume) == 0
             if empty:
                 # A zero-byte file is the signature of dying between
-                # creating the checkpoint and committing any bytes —
+                # creating the journal and committing any bytes —
                 # nothing was saved, so a fresh start *is* the resume.
                 log.warning(
                     "%s is empty (the previous run died before saving "
                     "anything); starting the campaign from scratch",
                     args.resume,
                 )
-                args.campaign = CampaignJournal.create(
-                    target,
-                    checkpoint_interval=args.checkpoint_interval,
-                    compact_every=args.compact_every,
-                )
-            elif is_journal(args.resume) and target == args.resume:
+            if target == args.resume and not empty:
                 args.campaign = CampaignJournal.resume(
-                    target,
-                    checkpoint_interval=args.checkpoint_interval,
-                    compact_every=args.compact_every,
+                    target, compact_every=args.compact_every
                 )
                 info = args.campaign.load_info
-                if info is not None and info.healed:
+                if info.healed:
                     log.warning(
                         "journal %s had a torn tail (%d byte(s)) — "
                         "healed, replaying from the last intact record",
@@ -1188,23 +1127,14 @@ def main(argv: list[str] | None = None) -> int:
                         info.healed_bytes,
                     )
             else:
-                # Legacy whole-file checkpoint (or journal copied to a
-                # new target path): load it, then migrate the campaign
-                # into a fresh journal at the write target.
-                loaded = load_checkpoint(args.resume)
-                if not isinstance(loaded, CampaignCheckpoint):
-                    log.warning(
-                        "cannot resume: %s holds a %s, not a campaign "
-                        "checkpoint",
-                        args.resume,
-                        type(loaded).__name__,
-                    )
-                    return EXIT_INCONCLUSIVE
-                args.campaign = CampaignJournal.adopt(
-                    target,
-                    loaded,
-                    checkpoint_interval=args.checkpoint_interval,
-                    compact_every=args.compact_every,
+                # Continue the campaign in a fresh journal at the write
+                # target; the source journal is only read.
+                state = (
+                    None if empty
+                    else load_journal(args.resume, heal=False)[0]
+                )
+                args.campaign = CampaignJournal.create(
+                    target, state, compact_every=args.compact_every
                 )
         except (OSError, CheckpointMismatch) as exc:
             log.warning("cannot resume: %s", exc)
@@ -1213,16 +1143,12 @@ def main(argv: list[str] | None = None) -> int:
     elif args.checkpoint:
         try:
             args.campaign = CampaignJournal.create(
-                args.checkpoint,
-                checkpoint_interval=args.checkpoint_interval,
-                compact_every=args.compact_every,
+                args.checkpoint, compact_every=args.compact_every
             )
         except OSError as exc:
-            # An unwritable journal must not block the analysis itself;
-            # degrade to an in-memory campaign (the final save will
-            # report the real failure once).
-            log.warning("cannot start checkpoint journal: %s", exc)
-            args.campaign = CampaignCheckpoint()
+            # An unwritable journal must not block the analysis itself:
+            # say so once and run without a checkpoint.
+            log.warning("cannot write checkpoint: %s", exc)
 
     def _sigterm(signum, frame):
         # Funnel SIGTERM through the KeyboardInterrupt path so a polite
@@ -1261,7 +1187,7 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if previous_sigterm is not None:
             signal.signal(signal.SIGTERM, previous_sigterm)
-        if isinstance(args.campaign, CampaignJournal):
+        if args.campaign is not None:
             try:
                 args.campaign.close()
             except OSError:

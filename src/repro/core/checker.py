@@ -120,8 +120,9 @@ class ConsensusReport:
             reports produced before budgets existed.
         checkpoint: a resumable exploration snapshot, present exactly on
             ``UNKNOWN`` verdicts.  Pass it back to ``check`` /
-            ``check_all`` (or save it with
-            :func:`repro.resilience.save_checkpoint`) to continue.
+            ``check_all`` to continue; across processes it travels in a
+            campaign journal's ``suspend`` record
+            (:class:`repro.resilience.CampaignJournal`).
         preflight: the :class:`~repro.lint.PreflightReport` behind an
             ``ILL_FORMED`` verdict (findings with witness edges); None
             on every other verdict.
@@ -1082,8 +1083,7 @@ def run_campaign(
     interrupt loses at most in-flight units), and the first inconclusive
     unit's partial progress is suspended for resume.  *on_unit*, when
     given, is called as ``on_unit(key, report)`` after each freshly-run
-    unit's campaign update — the CLI hooks its incremental checkpoint
-    autosave here.
+    unit's campaign update (a hook for per-unit timing or progress).
 
     Returns ``(key, report)`` pairs in submission order, truncated at
     the first inconclusive report.

@@ -59,8 +59,6 @@ from repro.resilience.checkpoint import (
     CheckpointCorrupt,
     CheckpointMismatch,
     ExplorationCheckpoint,
-    load_checkpoint,
-    save_checkpoint,
     system_fingerprint,
 )
 from repro.resilience.journal import (
@@ -115,12 +113,10 @@ __all__ = [
     "chaos_sweep",
     "crashpoint",
     "exception_category",
-    "load_checkpoint",
     "load_journal",
     "merge_stats",
     "pool_config_for",
     "run_units",
-    "save_checkpoint",
     "system_fingerprint",
     *_MUTATION_EXPORTS,
 ]

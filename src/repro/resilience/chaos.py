@@ -3,8 +3,8 @@
 The paper's verdicts are machine-checked against adversaries that may
 strike between any two steps; this module points the same adversary at
 our *own* recovery machinery.  Named **crashpoints** are compiled into
-the engine's durability-critical seams — checkpoint write/rename,
-journal append/compaction, pool dispatch/merge, campaign unit
+the engine's durability-critical seams — journal append/compaction,
+verdict-store append/compaction, pool dispatch/merge, campaign unit
 boundaries, budget trips — and a harness re-runs a whole campaign
 killing the process (or raising, or stalling) at each reachable
 crashpoint, then resumes from disk and asserts the final verdicts are
@@ -15,7 +15,7 @@ Instrumentation contract
 
 Engine code calls :func:`crashpoint` with a stable dotted name::
 
-    crashpoint("checkpoint.rename.pre")
+    crashpoint("journal.compact.rename.pre")
 
 When chaos is not armed this is a single attribute load and a falsy
 check — cheap enough for durability seams (crashpoints are deliberately

@@ -19,6 +19,13 @@ truncating the tail in place (:func:`heal_tail`): frames are written
 strictly append-only, which makes everything after the first corruption
 unreachable by any consistent reader.
 
+Both files also share one whole-file rewrite for compaction
+(:func:`rewrite_frames`): the new contents go to a temporary file in the
+same directory, which is fsync'd, atomically renamed over the target,
+and the directory is fsync'd — a crash at any point leaves either the
+complete old file or the complete new one.  This module is the only
+place either file is created by rename.
+
 What a payload *means* — pickle for the journal, canonical JSON for the
 verdict store — stays with the caller; this layer only guarantees each
 payload is delivered whole or not at all.
@@ -28,8 +35,9 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 import zlib
-from typing import BinaryIO, Optional
+from typing import BinaryIO, Iterable, Optional
 
 from repro.resilience import chaos
 from repro.resilience.chaos import crashpoint
@@ -42,6 +50,7 @@ __all__ = [
     "encode_frame",
     "heal_tail",
     "read_frames",
+    "rewrite_frames",
     "scan_frames",
 ]
 
@@ -147,3 +156,70 @@ def append_frame(
         os.fsync(fh.fileno())
     if crash_prefix is not None:
         crashpoint(f"{crash_prefix}.post")
+
+
+def _fsync_directory(directory: str) -> None:
+    """fsync a directory so a just-renamed entry survives power loss.
+
+    ``os.replace`` makes the rename atomic with respect to *crashes of
+    this process*, but the new directory entry itself lives in the
+    directory inode — until that is flushed, a power failure can roll
+    the rename back (leaving the old file, or on a fresh path, nothing).
+    Platforms whose filesystems cannot open directories (e.g. Windows)
+    skip silently: the rename atomicity is unaffected, only the
+    power-failure window stays.
+    """
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def rewrite_frames(
+    path, magic: bytes, payloads: Iterable[bytes], crash_prefix: str
+) -> None:
+    """Atomically replace *path* with *magic* followed by one frame per
+    payload.
+
+    The file is written under a temporary name in the same directory,
+    fsync'd, :func:`os.replace`'d over *path*, and the directory is
+    fsync'd, so a crash (``kill -9``, power failure) at any point leaves
+    either the previous file or the new one — never a torn file, and
+    never a rename that evaporates with the directory cache.  The chaos
+    crashpoints ``{prefix}.pre`` / ``{prefix}.rename.pre`` /
+    ``{prefix}.post`` mark the start, the seam between the file fsync and
+    the rename, and the end.  On failure the temporary file is removed.
+
+    Callers holding an append handle on *path* must close it first and
+    reopen it afterwards: after the rename an old handle writes to the
+    replaced file, not the new one.
+    """
+    path = os.fspath(path)
+    directory = os.path.dirname(path) or "."
+    crashpoint(f"{crash_prefix}.pre")
+    fd, tmp_path = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
+    )
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.write(magic)
+            for payload in payloads:
+                out.write(encode_frame(payload))
+            out.flush()
+            os.fsync(out.fileno())
+        crashpoint(f"{crash_prefix}.rename.pre")
+        os.replace(tmp_path, path)
+        _fsync_directory(directory)
+    except BaseException:
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+    crashpoint(f"{crash_prefix}.post")

@@ -1,25 +1,23 @@
-"""Journaled incremental campaign checkpoints (append-only, CRC-framed).
+"""The campaign checkpoint journal (append-only, CRC-framed).
 
-The original :func:`~repro.resilience.checkpoint.save_checkpoint` flow
-rewrote the *whole* campaign pickle on every save — O(campaign) bytes
-per completed unit, which makes fine-grained checkpointing (and the
-chaos harness's per-crashpoint resume sweeps) needlessly expensive.
-This module replaces the rewrite with a **journal**:
+This is the one on-disk checkpoint format.  A campaign is persisted as
+an append-only file of CRC32-framed records:
 
-* an append-only file of CRC32-framed records — a ``base`` snapshot
-  followed by one small ``unit`` record per finished verification unit
-  (appended the moment the unit resolves, including from the pool's
-  checkpoint-as-workers-finish hook) and ``suspend`` records carrying
-  the in-flight unit's partial progress;
+* a ``base`` snapshot followed by one small ``unit`` record per finished
+  verification unit (appended and fsync'd the moment the unit resolves,
+  including from the pool's checkpoint-as-workers-finish hook) and
+  ``suspend`` records carrying the in-flight unit's partial progress —
+  O(1) bytes per completed unit instead of a whole-campaign rewrite;
 * **self-healing loads** — a crash (or ``kill -9``) mid-append leaves a
   torn final frame; the loader verifies each frame's length and CRC,
   truncates the torn tail in place, and replays the surviving prefix.
   Determinism of the engines guarantees re-running the lost suffix
   reproduces byte-identical verdicts;
 * **periodic compaction** — once enough incremental records accumulate
-  the journal is rewritten as a single fresh ``base`` snapshot via the
-  same atomic temp-file/rename/dir-fsync dance the legacy writer uses,
-  so the file stays O(campaign state), not O(campaign history).
+  the journal is rewritten as a single fresh ``base`` snapshot through
+  :func:`~repro.resilience.frames.rewrite_frames` (temp file, fsync,
+  atomic rename, directory fsync), so the file stays O(campaign state),
+  not O(campaign history).
 
 On-disk format
 --------------
@@ -35,7 +33,9 @@ Each payload is a pickled ``(kind, data)`` pair with kinds ``"base"``
 (``(key, CheckAllCheckpoint | None)``).  Replay starts from an empty
 campaign, substitutes state wholesale at each ``base``, and applies
 ``unit``/``suspend`` records in order — the recovery state machine is
-*load → heal torn tail → replay → (eventually) compact*.
+*load → heal torn tail → replay → (eventually) compact*.  The framing,
+tail healing and rewrite live in :mod:`repro.resilience.frames`, shared
+with the job server's verdict store.
 
 :class:`CampaignJournal` subclasses ``CampaignCheckpoint`` so the
 campaign engines (:func:`repro.core.checker.run_campaign`, the analysis
@@ -49,17 +49,16 @@ from __future__ import annotations
 import io
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.resilience.chaos import crashpoint
-from repro.resilience.checkpoint import (
-    CampaignCheckpoint,
-    CheckpointCorrupt,
-    _fsync_directory,
+from repro.resilience.checkpoint import CampaignCheckpoint, CheckpointCorrupt
+from repro.resilience.frames import (
+    append_frame,
+    heal_tail,
+    read_frames,
+    rewrite_frames,
 )
-from repro.resilience.frames import append_frame, encode_frame, scan_frames
 
 __all__ = [
     "CampaignJournal",
@@ -98,23 +97,19 @@ def is_journal(path) -> bool:
         return False
 
 
-def _encode_frame(kind: str, data) -> bytes:
-    """One complete journal frame for a ``(kind, data)`` record."""
-    return encode_frame(
-        pickle.dumps((kind, data), protocol=pickle.HIGHEST_PROTOCOL)
-    )
+def _payload(kind: str, data) -> bytes:
+    """The frame payload for a ``(kind, data)`` record."""
+    return pickle.dumps((kind, data), protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _scan(raw: bytes, path: str):
-    """Decode journal records out of the byte body after the magic.
+def _decode(payloads: list[bytes], path: str) -> list:
+    """Decode intact frame payloads as pickled ``(kind, data)`` records.
 
     The byte-level framing (and the torn-tail rule: a bad frame is
     always the tail, because frames are strictly append-only) lives in
-    :func:`repro.resilience.frames.scan_frames`; this layer decodes each
-    intact payload as a pickled ``(kind, data)`` record.  Returns
-    ``(records, good_end)``.
+    :mod:`repro.resilience.frames`; a payload that passed its CRC but
+    does not decode is interior corruption, not a torn tail.
     """
-    payloads, good_end = scan_frames(raw)
     records = []
     for payload in payloads:
         try:
@@ -149,7 +144,7 @@ def _scan(raw: bytes, path: str):
                 "restart the run from scratch"
             )
         records.append(record)
-    return records, good_end
+    return records
 
 
 def _replay(records) -> CampaignCheckpoint:
@@ -182,20 +177,17 @@ def load_journal(
     otherwise.
     """
     path = os.fspath(path)
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(MAGIC):
+    try:
+        payloads, torn, good_size = read_frames(path, MAGIC)
+    except ValueError:
         raise CheckpointCorrupt(
-            f"{path}: not a repro checkpoint journal (bad magic)"
-        )
-    body = blob[len(MAGIC) :]
-    records, good_end = _scan(body, path)
-    torn = len(body) - good_end
+            f"{path}: corrupted checkpoint file (not a checkpoint "
+            "journal: bad magic); delete it and restart the run from "
+            "scratch"
+        ) from None
+    records = _decode(payloads, path)
     if torn and heal:
-        with open(path, "rb+") as fh:
-            fh.truncate(len(MAGIC) + good_end)
-            fh.flush()
-            os.fsync(fh.fileno())
+        heal_tail(path, good_size)
     return _replay(records), JournalInfo(
         records=len(records), healed_bytes=torn, path=path
     )
@@ -204,58 +196,53 @@ def load_journal(
 class CampaignJournal(CampaignCheckpoint):
     """A :class:`CampaignCheckpoint` that persists itself incrementally.
 
-    ``record``/``suspend`` append one frame each; *checkpoint_interval*
-    sets the fsync cadence for unit records (1 = every unit is durable
-    the moment it completes; N batches the fsync, trading at most N-1
-    re-runnable units for fewer disk flushes).  ``suspend`` and
-    compaction always fsync — partial-progress snapshots are the
-    expensive thing to lose.
+    ``record``/``suspend`` append one frame each and fsync it before
+    returning, so every finished unit is durable the moment it
+    completes.
 
-    Construct with :meth:`create` (fresh file) or :meth:`resume`
-    (load + heal + continue appending).
+    Construct with :meth:`create` (fresh file, optionally seeded with
+    an existing campaign state) or :meth:`resume` (load + heal +
+    continue appending).
     """
 
-    def __init__(
-        self,
-        path,
-        checkpoint_interval: int = 1,
-        compact_every: int = 64,
-    ) -> None:
+    def __init__(self, path, compact_every: int = 64) -> None:
         super().__init__()
-        if checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
         if compact_every < 2:
             raise ValueError("compact_every must be >= 2")
         self.path = os.fspath(path)
-        self.checkpoint_interval = checkpoint_interval
         self.compact_every = compact_every
         self.load_info: Optional[JournalInfo] = None
         self._fh: Optional[io.BufferedWriter] = None
-        self._unsynced_units = 0
         self._records_since_base = 0
 
     # -- construction --------------------------------------------------------
     @classmethod
     def create(
-        cls, path, checkpoint_interval: int = 1, compact_every: int = 64
+        cls,
+        path,
+        state: Optional[CampaignCheckpoint] = None,
+        compact_every: int = 64,
     ) -> "CampaignJournal":
-        """Start a fresh journal at *path* (truncating any previous one)."""
-        journal = cls(path, checkpoint_interval, compact_every)
+        """Start a fresh journal at *path* (truncating any previous one)
+        whose base snapshot is *state* (an empty campaign when None)."""
+        journal = cls(path, compact_every)
+        if state is not None:
+            journal.completed = dict(state.completed)
+            journal.current = state.current
+            journal.inner = state.inner
         journal._fh = open(journal.path, "wb")
         journal._fh.write(MAGIC)
         # Flush before the first append's crashpoints: a kill inside
         # _append must leave a valid (if empty) journal, not the bare
         # zero-byte file open("wb") created.
         journal._fh.flush()
-        journal._append(KIND_BASE, journal.snapshot(), durable=True)
+        journal._append(KIND_BASE, journal.snapshot())
         return journal
 
     @classmethod
-    def resume(
-        cls, path, checkpoint_interval: int = 1, compact_every: int = 64
-    ) -> "CampaignJournal":
+    def resume(cls, path, compact_every: int = 64) -> "CampaignJournal":
         """Load (healing a torn tail) and continue appending to *path*."""
-        journal = cls(path, checkpoint_interval, compact_every)
+        journal = cls(path, compact_every)
         state, info = load_journal(path, heal=True)
         journal.completed = state.completed
         journal.current = state.current
@@ -265,26 +252,6 @@ class CampaignJournal(CampaignCheckpoint):
         journal._fh = open(journal.path, "ab")
         return journal
 
-    @classmethod
-    def adopt(
-        cls,
-        path,
-        state: CampaignCheckpoint,
-        checkpoint_interval: int = 1,
-        compact_every: int = 64,
-    ) -> "CampaignJournal":
-        """Migrate an in-memory campaign (e.g. a legacy-format load)
-        into a fresh journal at *path*."""
-        journal = cls(path, checkpoint_interval, compact_every)
-        journal.completed = dict(state.completed)
-        journal.current = state.current
-        journal.inner = state.inner
-        journal._fh = open(journal.path, "wb")
-        journal._fh.write(MAGIC)
-        journal._fh.flush()
-        journal._append(KIND_BASE, journal.snapshot(), durable=True)
-        return journal
-
     # -- campaign interface (appends transparently) --------------------------
     def record(self, key: str, report) -> None:
         super().record(key, report)
@@ -292,7 +259,7 @@ class CampaignJournal(CampaignCheckpoint):
 
     def suspend(self, key: str, inner) -> None:
         super().suspend(key, inner)
-        self._append(KIND_SUSPEND, (key, inner), durable=True)
+        self._append(KIND_SUSPEND, (key, inner))
 
     # -- persistence ---------------------------------------------------------
     def snapshot(self) -> CampaignCheckpoint:
@@ -303,73 +270,41 @@ class CampaignJournal(CampaignCheckpoint):
             inner=self.inner,
         )
 
-    def _append(self, kind: str, data, durable: bool = False) -> None:
+    def _append(self, kind: str, data) -> None:
         fh = self._fh
         if fh is None or fh.closed:
             self._fh = fh = open(self.path, "ab")
-        sync_now = durable
-        if not sync_now and kind == KIND_UNIT:
-            self._unsynced_units += 1
-            if self._unsynced_units >= self.checkpoint_interval:
-                sync_now = True
-        payload = pickle.dumps(
-            (kind, data), protocol=pickle.HIGHEST_PROTOCOL
-        )
         append_frame(
-            fh, payload, crash_prefix="journal.append", durable=sync_now
+            fh, _payload(kind, data), crash_prefix="journal.append",
+            durable=True,
         )
-        if sync_now:
-            self._unsynced_units = 0
         if kind != KIND_BASE:
             self._records_since_base += 1
             if self._records_since_base >= self.compact_every:
                 self.compact()
 
     def sync(self) -> None:
-        """Flush and fsync any buffered frames."""
+        """Flush and fsync the file handle."""
         fh = self._fh
         if fh is not None and not fh.closed:
             fh.flush()
             os.fsync(fh.fileno())
-            self._unsynced_units = 0
 
     def compact(self) -> None:
         """Rewrite the journal as a single fresh base snapshot.
 
-        The same crash-safe sequence as the legacy whole-file writer:
-        temp file in the same directory, fsync, atomic rename, directory
-        fsync — interruptible at any point without losing the previous
-        journal.
+        Crash-safe through :func:`~repro.resilience.frames.rewrite_frames`
+        (the ``journal.compact.*`` crashpoints): interruptible at any
+        point without losing the previous journal.
         """
-        crashpoint("journal.compact.pre")
-        directory = os.path.dirname(self.path) or "."
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".", suffix=".tmp",
-            dir=directory,
-        )
+        payload = _payload(KIND_BASE, self.snapshot())
+        if self._fh is not None and not self._fh.closed:
+            self._fh.close()
         try:
-            with os.fdopen(fd, "wb") as tmp:
-                tmp.write(MAGIC)
-                tmp.write(_encode_frame(KIND_BASE, self.snapshot()))
-                tmp.flush()
-                os.fsync(tmp.fileno())
-            if self._fh is not None and not self._fh.closed:
-                self._fh.close()
-            crashpoint("journal.compact.rename.pre")
-            os.replace(tmp_path, self.path)
-            _fsync_directory(directory)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
+            rewrite_frames(self.path, MAGIC, [payload], "journal.compact")
         finally:
-            if self._fh is None or self._fh.closed:
-                self._fh = open(self.path, "ab")
+            self._fh = open(self.path, "ab")
         self._records_since_base = 0
-        self._unsynced_units = 0
-        crashpoint("journal.compact.post")
 
     def close(self) -> None:
         """Sync and release the file handle (the journal stays loadable)."""
@@ -379,9 +314,9 @@ class CampaignJournal(CampaignCheckpoint):
             os.fsync(fh.fileno())
             fh.close()
 
-    # A journal that crosses a process boundary (or is handed to the
-    # legacy whole-file writer) degrades to its plain snapshot: the file
-    # handle is process-local, the state is what matters.
+    # A journal that crosses a process boundary degrades to its plain
+    # snapshot: the file handle is process-local, the state is what
+    # matters.
     def __reduce__(self):
         snap = self.snapshot()
         return (

@@ -68,6 +68,12 @@ def canonical_json(obj) -> bytes:
     ).encode("ascii")
 
 
+def _is_int(value) -> bool:
+    """Whether *value* is a JSON integer — ``bool`` is an ``int``
+    subclass in Python, but ``true`` is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One validated job request.
@@ -112,7 +118,7 @@ class JobSpec:
         if kind == KIND_PROBE:
             work = raw.get("work", 1000)
             value = raw.get("value", "")
-            if not isinstance(work, int) or not 1 <= work <= MAX_PROBE_WORK:
+            if not _is_int(work) or not 1 <= work <= MAX_PROBE_WORK:
                 raise InvalidJob(
                     f"probe work must be an int in [1, {MAX_PROBE_WORK}]"
                 )
@@ -132,10 +138,10 @@ class JobSpec:
                 f"unknown protocol {protocol!r} "
                 f"(choose from {sorted(PROTOCOLS)})"
             )
-        if not isinstance(n, int) or not 2 <= n <= MAX_N:
+        if not _is_int(n) or not 2 <= n <= MAX_N:
             raise InvalidJob(f"n must be an int in [2, {MAX_N}]")
         if max_states is not None and (
-            not isinstance(max_states, int) or max_states < 1
+            not _is_int(max_states) or max_states < 1
         ):
             raise InvalidJob("max_states must be a positive int")
         if not isinstance(model, str):

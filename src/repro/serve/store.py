@@ -29,28 +29,26 @@ completes.  ``put`` is idempotent by fingerprint, which combined with
 the server ledger's recovery rule gives exactly-once storage.
 
 Long-lived servers GC through :meth:`VerdictStore.compact`: an atomic
-whole-file rewrite (tmp + fsync + rename + directory fsync, the same
-shape as the journal's compaction) keeping the newest *retain* records.
-The rewrite seams carry ``serve.store.compact.*`` crashpoints — a crash
-at any of them leaves either the complete old file or the complete new
-file, never a hybrid.
+whole-file rewrite keeping the newest *retain* records, through the same
+:func:`~repro.resilience.frames.rewrite_frames` as the journal's
+compaction (tmp + fsync + rename + directory fsync).  The rewrite seams
+carry ``serve.store.compact.*`` crashpoints — a crash at any of them
+leaves either the complete old file or the complete new file, never a
+hybrid.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.resilience.chaos import crashpoint
-from repro.resilience.checkpoint import _fsync_directory
 from repro.resilience.frames import (
     append_frame,
-    encode_frame,
     heal_tail,
     read_frames,
+    rewrite_frames,
 )
 from repro.serve.jobs import canonical_json
 
@@ -210,38 +208,15 @@ class VerdictStore:
         resubmitted job re-runs (and re-stores) instead of being
         answered from the store — exactly the dedupe-miss path.
         """
-        crashpoint("serve.store.compact.pre")
         items = list(self._index.items())
-        if retain is None or len(items) <= retain:
-            kept = items
-        else:
-            kept = items[len(items) - retain:]
-        evicted = len(items) - len(kept)
-        directory = os.path.dirname(self.path) or "."
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=os.path.basename(self.path) + ".compact-",
-            suffix=".tmp",
-            dir=directory,
+        kept = items if retain is None else items[max(0, len(items) - retain):]
+        self.close()
+        rewrite_frames(
+            self.path,
+            MAGIC,
+            [payload for _fp, payload in kept],
+            "serve.store.compact",
         )
-        try:
-            with os.fdopen(fd, "wb") as out:
-                out.write(MAGIC)
-                for _fp, payload in kept:
-                    out.write(encode_frame(payload))
-                out.flush()
-                os.fsync(out.fileno())
-            if self._fh is not None and not self._fh.closed:
-                self._fh.close()
-            crashpoint("serve.store.compact.rename.pre")
-            os.replace(tmp_path, self.path)
-            _fsync_directory(directory)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
         self._fh = open(self.path, "ab")
         self._index = dict(kept)
-        crashpoint("serve.store.compact.post")
-        return evicted
+        return len(items) - len(kept)

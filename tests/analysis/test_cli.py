@@ -179,6 +179,71 @@ class TestResilienceExitCodes:
         assert code == 2
         assert "cannot write checkpoint" in capsys.readouterr().err
 
+    def test_unwritable_checkpoint_warns_once_and_still_runs(self, capsys):
+        code = main(
+            ["--checkpoint", "/nonexistent-dir/x.ckpt", "lower-bound"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        mentions = [
+            line for line in captured.err.splitlines() if "checkpoint" in line
+        ]
+        assert len(mentions) == 1
+        assert "cannot write checkpoint" in mentions[0]
+        assert "crossover holds" in captured.out
+
+    def test_pre_journal_pickle_checkpoint_is_refused(self, tmp_path, capsys):
+        """Checkpoint files from before the journal (a pickled envelope)
+        no longer resume: exit 2 with a diagnostic, nothing written."""
+        import pickle
+
+        from repro.resilience import CampaignCheckpoint
+
+        old = tmp_path / "old.ckpt"
+        old.write_bytes(
+            pickle.dumps(
+                {
+                    "format": "repro-checkpoint",
+                    "version": 1,
+                    "kind": "CampaignCheckpoint",
+                    "checkpoint": CampaignCheckpoint(),
+                }
+            )
+        )
+        before = old.read_bytes()
+        new = tmp_path / "new.ckpt"
+        for argv in (
+            ["--resume", str(old), "lower-bound"],
+            ["--resume", str(old), "--checkpoint", str(new), "lower-bound"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "corrupted checkpoint" in err
+            assert "Traceback" not in err
+        assert old.read_bytes() == before
+        assert not new.exists()
+
+    def test_resume_into_a_new_checkpoint_leaves_the_source(
+        self, tmp_path, capsys
+    ):
+        source = tmp_path / "a.ckpt"
+        target = tmp_path / "b.ckpt"
+        assert main(
+            ["--max-states", "5", "--checkpoint", str(source), "lower-bound"]
+        ) == 2
+        before = source.read_bytes()
+        capsys.readouterr()
+        assert main(
+            ["--resume", str(source), "--checkpoint", str(target),
+             "lower-bound"]
+        ) == 0
+        resumed = capsys.readouterr().out
+        assert source.read_bytes() == before
+        assert main(["lower-bound"]) == 0
+        assert resumed == capsys.readouterr().out
+        assert main(["--resume", str(target), "lower-bound"]) == 0
+        assert resumed == capsys.readouterr().out
+
     def test_timeout_zero_is_inconclusive(self, capsys):
         assert main(["--timeout", "0", "lower-bound"]) == 2
         captured = capsys.readouterr()

@@ -15,12 +15,13 @@ from repro.resilience.checkpoint import (
     CheckAllCheckpoint,
     CheckpointCorrupt,
     CheckpointMismatch,
-    load_checkpoint,
-    save_checkpoint,
     system_fingerprint,
 )
+from repro.resilience.frames import read_frames, rewrite_frames
+from repro.resilience.journal import MAGIC, CampaignJournal, load_journal
 
 MAX_HOPS = 500
+TEST_MAGIC = b"RTEST001\n"
 
 
 def _resume_to_verdict(system, per_hop_budget):
@@ -86,8 +87,11 @@ class TestDiskRoundTrip:
         )
         assert report.inconclusive
         path = tmp_path / "sweep.ckpt"
-        save_checkpoint(report.checkpoint, path)
-        loaded = load_checkpoint(path)
+        journal = CampaignJournal.create(path)
+        journal.suspend("unit", report.checkpoint)
+        journal.close()
+        state, _ = load_journal(path)
+        loaded = state.resume_point("unit")
         assert isinstance(loaded, CheckAllCheckpoint)
         assert loaded.assignment_index == report.checkpoint.assignment_index
         resumed = ConsensusChecker(st_floodset_tight).check_all(
@@ -105,7 +109,7 @@ class TestDiskRoundTrip:
 
         path.write_bytes(pickle.dumps({"something": "else"}))
         with pytest.raises(CheckpointMismatch):
-            load_checkpoint(path)
+            load_journal(path)
 
 
 class TestFingerprintGuard:
@@ -127,47 +131,50 @@ class TestFingerprintGuard:
         assert "FloodSet" in fp
 
 
+def _payloads(path):
+    payloads, torn, _ = read_frames(path, TEST_MAGIC)
+    assert torn == 0
+    return payloads
+
+
 class TestAtomicSave:
+    """The one whole-file rewrite behind journal and verdict-store
+    compaction (:func:`repro.resilience.frames.rewrite_frames`)."""
+
     def test_save_replaces_atomically(self, tmp_path):
         path = tmp_path / "campaign.ckpt"
-        first = CampaignCheckpoint(completed={"unit": "v1"})
-        second = CampaignCheckpoint(completed={"unit": "v2"})
-        save_checkpoint(first, path)
-        save_checkpoint(second, path)
-        assert load_checkpoint(path).completed == {"unit": "v2"}
+        rewrite_frames(path, TEST_MAGIC, [b"v1"], "test.rewrite")
+        rewrite_frames(path, TEST_MAGIC, [b"v2", b"v2b"], "test.rewrite")
+        assert _payloads(path) == [b"v2", b"v2b"]
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_mid_write_death_preserves_previous(self, tmp_path):
-        """SIGKILL inside the serialization must leave the previous
-        checkpoint loadable — the write goes to a temp file and only an
-        atomic rename publishes it."""
+        """SIGKILL while the new contents are being written must leave
+        the previous file intact — the write goes to a temp file and
+        only an atomic rename publishes it."""
         import multiprocessing
         import os
         import signal
 
         path = tmp_path / "campaign.ckpt"
-        save_checkpoint(CampaignCheckpoint(completed={"unit": "v1"}), path)
+        rewrite_frames(path, TEST_MAGIC, [b"v1"], "test.rewrite")
+        before = path.read_bytes()
 
         def die_mid_save() -> None:
-            import pickle as pickle_module
-
-            def torn_dump(obj, fh, protocol=None):
-                fh.write(b"\x80torn-partial-write")
-                fh.flush()
-                os.fsync(fh.fileno())
+            def torn_payloads():
+                yield b"v2"
                 os.kill(os.getpid(), signal.SIGKILL)
+                yield b"never written"
 
-            pickle_module.dump = torn_dump
-            save_checkpoint(
-                CampaignCheckpoint(completed={"unit": "v2"}), path
-            )
+            rewrite_frames(path, TEST_MAGIC, torn_payloads(), "test.rewrite")
 
         ctx = multiprocessing.get_context("fork")
         proc = ctx.Process(target=die_mid_save)
         proc.start()
         proc.join(timeout=30)
         assert proc.exitcode == -signal.SIGKILL
-        assert load_checkpoint(path).completed == {"unit": "v1"}
+        assert path.read_bytes() == before
+        assert _payloads(path) == [b"v1"]
 
     def test_directory_fsynced_after_rename(self, tmp_path, monkeypatch):
         """Durability needs three steps in order: fsync the temp file,
@@ -194,9 +201,8 @@ class TestAtomicSave:
 
         monkeypatch.setattr(os_module, "fsync", spy_fsync)
         monkeypatch.setattr(os_module, "replace", spy_replace)
-        save_checkpoint(
-            CampaignCheckpoint(completed={"unit": "v1"}),
-            tmp_path / "campaign.ckpt",
+        rewrite_frames(
+            tmp_path / "campaign.ckpt", TEST_MAGIC, [b"v1"], "test.rewrite"
         )
         assert events == [
             ("fsync", "file"),
@@ -204,35 +210,30 @@ class TestAtomicSave:
             ("fsync", "dir"),
         ]
 
-    def test_failed_save_cleans_temp_and_keeps_old(
-        self, tmp_path, monkeypatch
-    ):
-        import pickle as pickle_module
-
+    def test_failed_save_cleans_temp_and_keeps_old(self, tmp_path):
         path = tmp_path / "campaign.ckpt"
-        save_checkpoint(CampaignCheckpoint(completed={"unit": "v1"}), path)
+        rewrite_frames(path, TEST_MAGIC, [b"v1"], "test.rewrite")
 
-        def boom(obj, fh, protocol=None):
+        def failing_payloads():
+            yield b"v2"
             raise RuntimeError("disk full, say")
 
-        monkeypatch.setattr(pickle_module, "dump", boom)
         with pytest.raises(RuntimeError):
-            save_checkpoint(
-                CampaignCheckpoint(completed={"unit": "v2"}), path
-            )
-        monkeypatch.undo()
+            rewrite_frames(path, TEST_MAGIC, failing_payloads(), "test.rewrite")
         assert list(tmp_path.glob("*.tmp")) == []
-        assert load_checkpoint(path).completed == {"unit": "v1"}
+        assert _payloads(path) == [b"v1"]
 
 
 class TestCorruptLoad:
     def test_truncated_file_is_a_clean_diagnostic(self, tmp_path):
+        """A cut inside the journal header is corruption.  (A cut after
+        the header is a torn tail, which loading heals — see
+        ``test_journal.py``.)"""
         path = tmp_path / "campaign.ckpt"
-        save_checkpoint(CampaignCheckpoint(completed={"unit": "v1"}), path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
+        CampaignJournal.create(path).close()
+        path.write_bytes(path.read_bytes()[: len(MAGIC) // 2])
         with pytest.raises(CheckpointCorrupt) as excinfo:
-            load_checkpoint(path)
+            load_journal(path)
         message = str(excinfo.value)
         assert "corrupted checkpoint" in message
         assert str(path) in message
@@ -241,7 +242,7 @@ class TestCorruptLoad:
         path = tmp_path / "garbage.ckpt"
         path.write_bytes(b"this is not a pickle at all \x00\xff")
         with pytest.raises(CheckpointCorrupt):
-            load_checkpoint(path)
+            load_journal(path)
 
     def test_corrupt_is_a_mismatch(self):
         """Existing CheckpointMismatch handlers (the CLI exits 2) must
@@ -250,7 +251,7 @@ class TestCorruptLoad:
 
     def test_missing_file_stays_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            load_checkpoint(tmp_path / "never-written.ckpt")
+            load_journal(tmp_path / "never-written.ckpt")
 
 
 class TestCampaignCheckpoint:

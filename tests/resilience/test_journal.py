@@ -11,16 +11,13 @@ import pickle
 
 import pytest
 
-from repro.resilience.checkpoint import (
-    CampaignCheckpoint,
-    CheckpointCorrupt,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.resilience.chaos import ChaosInjected, active_plan
+from repro.resilience.checkpoint import CampaignCheckpoint, CheckpointCorrupt
+from repro.resilience.frames import encode_frame
 from repro.resilience.journal import (
     MAGIC,
     CampaignJournal,
-    _encode_frame,
+    _payload,
     is_journal,
     load_journal,
 )
@@ -54,20 +51,13 @@ class TestRoundTrip:
         assert state.current == "b"
         assert state.resume_point("b") == "partial-b"
 
-    def test_load_checkpoint_dispatches_to_journal(self, tmp_path):
-        path = tmp_path / "campaign.journal"
-        _journal_with_units(path, [("a", "ra")])
-        loaded = load_checkpoint(path)
-        assert isinstance(loaded, CampaignCheckpoint)
-        assert loaded.completed == {"a": "ra"}
-
     def test_is_journal(self, tmp_path):
         journal_path = tmp_path / "j.ckpt"
         _journal_with_units(journal_path, [])
-        legacy_path = tmp_path / "legacy.ckpt"
-        save_checkpoint(CampaignCheckpoint(), legacy_path)
+        pickled_path = tmp_path / "pickled.ckpt"
+        pickled_path.write_bytes(pickle.dumps(CampaignCheckpoint()))
         assert is_journal(journal_path)
-        assert not is_journal(legacy_path)
+        assert not is_journal(pickled_path)
         assert not is_journal(tmp_path / "missing.ckpt")
 
     def test_resume_continues_appending(self, tmp_path):
@@ -81,6 +71,20 @@ class TestRoundTrip:
         assert state.completed == {"a": "ra", "b": "rb"}
         assert not info.healed
 
+    def test_create_from_existing_state(self, tmp_path):
+        """``create`` seeds the base snapshot with a campaign state, so
+        appends continue from it."""
+        seed = CampaignCheckpoint(completed={"a": "ra"}, current="b")
+        path = tmp_path / "seeded.journal"
+        journal = CampaignJournal.create(path, seed)
+        journal.record("b", "rb")
+        journal.close()
+        assert is_journal(path)
+        state, info = load_journal(path)
+        assert state.completed == {"a": "ra", "b": "rb"}
+        assert info.records == 2  # base + 1 unit
+        assert seed.completed == {"a": "ra"}  # the seed is not mutated
+
     def test_journal_pickles_as_plain_snapshot(self, tmp_path):
         journal = _journal_with_units(
             tmp_path / "campaign.journal", [("a", "ra")]
@@ -90,8 +94,6 @@ class TestRoundTrip:
         assert clone.completed == {"a": "ra"}
 
     def test_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            CampaignJournal(tmp_path / "j", checkpoint_interval=0)
         with pytest.raises(ValueError):
             CampaignJournal(tmp_path / "j", compact_every=1)
 
@@ -153,8 +155,8 @@ class TestTornTailHealing:
         path = tmp_path / "campaign.journal"
         _journal_with_units(path, [("a", "ra")])
         with open(path, "ab") as fh:
-            fh.write(_encode_frame("no-such-kind", ("x", "y")))
-            fh.write(_encode_frame("unit", ("b", "rb")))
+            fh.write(encode_frame(_payload("no-such-kind", ("x", "y"))))
+            fh.write(encode_frame(_payload("unit", ("b", "rb"))))
         with pytest.raises(CheckpointCorrupt) as excinfo:
             load_journal(path)
         assert "delete the file" in str(excinfo.value)
@@ -185,7 +187,7 @@ class TestCompaction:
             journal.record(f"u{i}", "x" * 32)
         journal.close()
         compact = tmp_path / "compact.journal"
-        snapshot = CampaignJournal.adopt(compact, journal.snapshot())
+        snapshot = CampaignJournal.create(compact, journal.snapshot())
         snapshot.close()
         # Same state, and the journal never grew past O(state) + a few
         # uncompacted records.
@@ -201,9 +203,36 @@ class TestCompaction:
         state, _ = load_journal(path)
         assert state.completed == {f"u{i}": f"r{i}" for i in range(5)}
 
+    def test_crash_before_rename_leaves_the_old_journal(self, tmp_path):
+        """A failure inside the compaction seam must leave the previous
+        journal bytes untouched and no temporary debris behind, and the
+        journal must keep appending to that file."""
+        path = tmp_path / "campaign.journal"
+        journal = CampaignJournal.create(path)
+        journal.record("a", "ra")
+        journal.suspend("b", "partial-b")
+        before = path.read_bytes()
+        with active_plan("journal.compact.rename.pre:1:raise"):
+            with pytest.raises(ChaosInjected):
+                journal.compact()
+        assert path.read_bytes() == before
+        assert list(tmp_path.glob("*.tmp")) == []
+        state, info = load_journal(path)
+        assert not info.healed
+        assert state.completed == {"a": "ra"}
+        assert state.resume_point("b") == "partial-b"
+        journal.record("b", "rb")
+        journal.record("c", "rc")
+        journal.close()
+        state, info = load_journal(path)
+        assert not info.healed
+        assert info.records == 5  # base, unit, suspend, unit, unit
+        assert state.completed == {"a": "ra", "b": "rb", "c": "rc"}
+        assert state.current is None
+
 
 class TestDurabilityCadence:
-    def test_checkpoint_interval_batches_fsync(self, tmp_path, monkeypatch):
+    def test_each_record_fsyncs_once(self, tmp_path, monkeypatch):
         import repro.resilience.journal as journal_module
 
         calls = []
@@ -212,15 +241,11 @@ class TestDurabilityCadence:
             journal_module.os, "fsync",
             lambda fd: (calls.append(fd), real_fsync(fd))[1],
         )
-        journal = CampaignJournal.create(
-            tmp_path / "j.journal", checkpoint_interval=3
-        )
-        base_syncs = len(calls)  # the base snapshot is always durable
-        journal.record("a", "ra")
-        journal.record("b", "rb")
-        assert len(calls) == base_syncs  # batched: not yet at interval
-        journal.record("c", "rc")
-        assert len(calls) == base_syncs + 1  # third unit hit the cadence
+        journal = CampaignJournal.create(tmp_path / "j.journal")
+        assert len(calls) == 1  # the base snapshot is durable
+        for done, key in enumerate("abc", start=1):
+            journal.record(key, f"r{key}")
+            assert len(calls) == 1 + done  # one fsync per unit record
         journal.close()
 
     def test_suspend_is_always_durable(self, tmp_path, monkeypatch):
@@ -232,9 +257,7 @@ class TestDurabilityCadence:
             journal_module.os, "fsync",
             lambda fd: (calls.append(fd), real_fsync(fd))[1],
         )
-        journal = CampaignJournal.create(
-            tmp_path / "j.journal", checkpoint_interval=100
-        )
+        journal = CampaignJournal.create(tmp_path / "j.journal")
         before = len(calls)
         journal.suspend("a", "partial")
         assert len(calls) == before + 1
@@ -242,26 +265,12 @@ class TestDurabilityCadence:
 
 
 class TestLegacyInterop:
-    def test_legacy_checkpoint_still_loads(self, tmp_path):
-        path = tmp_path / "legacy.ckpt"
-        save_checkpoint(CampaignCheckpoint(completed={"a": "ra"}), path)
-        loaded = load_checkpoint(path)
-        assert loaded.completed == {"a": "ra"}
-
-    def test_adopt_migrates_legacy_state(self, tmp_path):
-        legacy = CampaignCheckpoint(completed={"a": "ra"}, current="b")
-        path = tmp_path / "migrated.journal"
-        journal = CampaignJournal.adopt(path, legacy)
-        journal.record("b", "rb")
-        journal.close()
-        assert is_journal(path)
-        state, _ = load_journal(path)
-        assert state.completed == {"a": "ra", "b": "rb"}
-
     def test_corrupt_legacy_is_clean_mismatch(self, tmp_path):
-        """Acceptance bar: an old/garbled checkpoint must either load or
-        fail with a CheckpointMismatch — never a raw pickle traceback."""
+        """Acceptance bar: a pre-journal pickle checkpoint (or any other
+        non-journal file) must fail with a CheckpointMismatch — never a
+        raw pickle traceback."""
         path = tmp_path / "broken.ckpt"
         path.write_bytes(b"\x80\x05 broken pickle bytes")
-        with pytest.raises(CheckpointCorrupt):
-            load_checkpoint(path)
+        with pytest.raises(CheckpointCorrupt) as excinfo:
+            load_journal(path)
+        assert "corrupted checkpoint" in str(excinfo.value)

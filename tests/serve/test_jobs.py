@@ -47,11 +47,21 @@ class TestValidation:
         with pytest.raises(InvalidJob, match="max_states"):
             JobSpec.from_dict({"max_states": 0})
 
+    def test_boolean_max_states_rejected(self):
+        # JSON true must not pass as the int 1: it would get its own
+        # fingerprint and a budget of one state.
+        with pytest.raises(InvalidJob, match="max_states"):
+            JobSpec.from_dict({"max_states": True})
+
     def test_probe_bounds(self):
         with pytest.raises(InvalidJob, match="probe work"):
             JobSpec.from_dict({"kind": "probe", "work": 0})
         with pytest.raises(InvalidJob, match="probe value"):
             JobSpec.from_dict({"kind": "probe", "value": "x" * 1000})
+
+    def test_boolean_probe_work_rejected(self):
+        with pytest.raises(InvalidJob, match="probe work"):
+            JobSpec.from_dict({"kind": "probe", "work": True})
 
 
 class TestFingerprint:
