@@ -20,6 +20,7 @@ from repro.analysis.sync_lower_bound import make_st_system
 from repro.core.checker import ConsensusChecker
 from repro.layerings.st_synchronous import st_action
 from repro.protocols.early_deciding import EarlyDecidingFloodSet
+from repro.resilience.budget import Budget
 
 
 def decision_round_profile(n: int, t: int):
@@ -86,9 +87,9 @@ def test_e10_table(benchmark):
                 )
         # verify correctness once, at the small size
         layering = make_st_system(EarlyDecidingFloodSet(1), 3, 1)
-        report = ConsensusChecker(layering, 2_000_000).check_all(
-            layering.model
-        )
+        report = ConsensusChecker(
+            layering, Budget(max_states=2_000_000)
+        ).check_all(layering.model)
         assert report.satisfied
         return rows
 

@@ -27,8 +27,12 @@ from repro.protocols.tasks import (
     DecideOwnInput,
     EpsilonAgreementProtocol,
 )
+from repro.resilience.budget import Budget
 from repro.tasks.catalog import epsilon_agreement, identity_task
 from repro.tasks.checker import TaskChecker
+
+CONSENSUS_BUDGET = Budget(max_states=400_000)
+TASK_BUDGET = Budget(max_states=800_000)
 
 
 def make_layering(protocol):
@@ -70,7 +74,9 @@ def test_e11_subdivision_edges(benchmark):
 def test_e11_defeat(benchmark, name, factory, expected):
     def run():
         layering = make_layering(factory())
-        return ConsensusChecker(layering, 400_000).check_all(layering.model)
+        return ConsensusChecker(layering, CONSENSUS_BUDGET).check_all(
+            layering.model
+        )
 
     report = benchmark(run)
     assert report.verdict is expected
@@ -84,7 +90,7 @@ def test_e11_solvers_and_table(benchmark):
             (epsilon_agreement(3), EpsilonAgreementProtocol()),
         ]:
             layering = make_layering(protocol)
-            report = TaskChecker(layering, task, 800_000).check_all(
+            report = TaskChecker(layering, task, TASK_BUDGET).check_all(
                 layering.model
             )
             rows.append(
@@ -100,7 +106,7 @@ def test_e11_solvers_and_table(benchmark):
             ("consensus-candidate", lambda: WaitForAll(), "decision"),
         ]:
             layering = make_layering(factory())
-            report = ConsensusChecker(layering, 400_000).check_all(
+            report = ConsensusChecker(layering, CONSENSUS_BUDGET).check_all(
                 layering.model
             )
             rows.append(

@@ -20,6 +20,9 @@ from repro.models.async_mp import AsyncMessagePassingModel
 from repro.models.mobile import MobileModel
 from repro.models.shared_memory import SharedMemoryModel
 from repro.protocols.candidates import QuorumDecide
+from repro.resilience.budget import Budget
+
+BUDGET = Budget(max_states=1_500_000)
 
 
 def make(kind: str, n: int):
@@ -47,7 +50,7 @@ GRID = [
 def test_e12_valence_full_con0(benchmark, kind, n):
     def analyze():
         layering = make(kind, n)
-        analyzer = ValenceAnalyzer(layering, 1_500_000)
+        analyzer = ValenceAnalyzer(layering, BUDGET)
         for state in layering.model.initial_states((0, 1)):
             analyzer.valence(state)
         return analyzer.explored_states
@@ -62,7 +65,7 @@ def test_e12_valence_full_con0(benchmark, kind, n):
 def test_e12_checker_full(benchmark, kind, n):
     def check():
         layering = make(kind, n)
-        return ConsensusChecker(layering, 1_500_000).check_all(
+        return ConsensusChecker(layering, BUDGET).check_all(
             layering.model
         )
 
@@ -75,14 +78,14 @@ def test_e12_table(benchmark):
         rows = []
         for kind, n in GRID:
             layering = make(kind, n)
-            analyzer = ValenceAnalyzer(layering, 1_500_000)
+            analyzer = ValenceAnalyzer(layering, BUDGET)
             for state in layering.model.initial_states((0, 1)):
                 analyzer.valence(state)
             stats = explore(
                 layering,
                 layering.model.initial_states((0, 1)),
                 max_depth=2,
-                max_states=1_500_000,
+                budget=BUDGET,
             )
             rows.append(
                 [

@@ -6,9 +6,10 @@ cost is a tax on *all* verification.  Two measurements:
 
 * **macro** — states/second of a full :func:`repro.core.exploration.explore`
   sweep of the synchronic read/write layering under three budgets:
-  ``unlimited`` (no limits armed), ``states-int`` (the legacy
-  ``max_states: int`` path through ``Budget.of``), and ``full`` (all four
-  limits armed high enough never to trip — the worst realistic case).
+  ``unlimited`` (no limits armed), ``states`` (the state limit alone, the
+  shape of :data:`~repro.resilience.budget.DEFAULT_BUDGET`), and ``full``
+  (all four limits armed high enough never to trip — the worst realistic
+  case).
 * **micro** — nanoseconds per ``charge_state`` call on a bare meter, which
   bounds the per-state cost independent of successor generation.
 
@@ -47,8 +48,8 @@ def budget_for(config: str) -> Budget:
     """The three measured budget configurations."""
     if config == "unlimited":
         return Budget.unlimited()
-    if config == "states-int":
-        return Budget.of(50_000_000)
+    if config == "states":
+        return Budget(max_states=50_000_000)
     if config == "full":
         return Budget(
             max_states=50_000_000,
@@ -62,12 +63,12 @@ def budget_for(config: str) -> Budget:
 def run_explore(config: str):
     system = make_system()
     roots = list(system.model.initial_states((0, 1)))
-    stats = explore(system, roots, max_states=budget_for(config))
+    stats = explore(system, roots, budget=budget_for(config))
     assert stats.complete
     return stats
 
 
-CONFIGS = ["unlimited", "states-int", "full"]
+CONFIGS = ["unlimited", "states", "full"]
 
 
 @pytest.mark.parametrize("config", CONFIGS)

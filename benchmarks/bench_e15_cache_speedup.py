@@ -44,6 +44,10 @@ from repro.models.async_mp import AsyncMessagePassingModel
 from repro.models.mobile import MobileModel
 from repro.models.shared_memory import SharedMemoryModel
 from repro.protocols.candidates import QuorumDecide
+from repro.resilience.budget import Budget
+
+BUDGET = Budget(max_states=1_500_000)
+
 
 SMOKE = os.environ.get("E15_SMOKE") == "1"
 
@@ -69,19 +73,19 @@ def make(kind: str, n: int):
 
 def one_pass(layering, cache=None):
     """One round of the E12 workload; returns its comparable outcome."""
-    analyzer = ValenceAnalyzer(layering, 1_500_000, cache=cache)
+    analyzer = ValenceAnalyzer(layering, BUDGET, cache=cache)
     valences = []
     for state in layering.model.initial_states((0, 1)):
         result = analyzer.valence(state)
-        valences.append((result.values, result.diverges, result.complete))
-    report = ConsensusChecker(layering, 1_500_000, cache=cache).check_all(
+        valences.append((result.values, result.diverges))
+    report = ConsensusChecker(layering, BUDGET, cache=cache).check_all(
         layering.model
     )
     stats = explore(
         layering,
         layering.model.initial_states((0, 1)),
         max_depth=2,
-        max_states=1_500_000,
+        budget=BUDGET,
         cache=cache,
     )
     return (

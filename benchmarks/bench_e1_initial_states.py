@@ -15,11 +15,12 @@ from repro.core.valence import ValenceAnalyzer
 from repro.layerings.s1_mobile import S1MobileLayering
 from repro.models.mobile import MobileModel
 from repro.protocols.floodset import FloodSet
+from repro.resilience.budget import Budget
 
 
 def analyze_con0(n: int):
     layering = S1MobileLayering(MobileModel(FloodSet(2), n))
-    analyzer = ValenceAnalyzer(layering, max_states=1_500_000)
+    analyzer = ValenceAnalyzer(layering, budget=Budget(max_states=1_500_000))
     initials = layering.model.initial_states((0, 1))
     sim = is_similarity_connected(initials, layering)
     val = is_valence_connected(initials, analyzer)

@@ -18,6 +18,10 @@ from repro.models.mobile import MobileModel
 from repro.protocols.candidates import QuorumDecide, WaitForAll
 from repro.protocols.eig import EIG
 from repro.protocols.floodset import FloodSet
+from repro.resilience.budget import Budget
+
+BUDGET = Budget(max_states=600_000)
+
 
 CANDIDATES = {
     "FloodSet(2)": lambda: FloodSet(2),
@@ -35,7 +39,7 @@ EXPECTED = {
 
 
 def defeat(name: str):
-    refutation = corollary_5_2(CANDIDATES[name](), 3, max_states=600_000)
+    refutation = corollary_5_2(CANDIDATES[name](), 3, budget=BUDGET)
     return refutation
 
 

@@ -18,6 +18,9 @@ from repro.core.valence import ValenceAnalyzer
 from repro.layerings.synchronic_rw import SynchronicRWLayering
 from repro.models.shared_memory import SharedMemoryModel
 from repro.protocols.candidates import QuorumDecide, WaitForAll
+from repro.resilience.budget import Budget
+
+BUDGET = Budget(max_states=600_000)
 
 
 def make_layering(protocol=None):
@@ -28,7 +31,7 @@ def make_layering(protocol=None):
 
 def test_e3_lemma_5_3(benchmark):
     layering = make_layering()
-    analyzer = ValenceAnalyzer(layering, max_states=600_000)
+    analyzer = ValenceAnalyzer(layering, budget=BUDGET)
     state = layering.model.initial_state((0, 1, 1))
     diamonds = [(*rw.absent_diamond(j, 3), j) for j in range(3)]
 
@@ -50,7 +53,7 @@ def test_e3_lemma_5_3(benchmark):
 )
 def test_e3_defeat(benchmark, name, factory, expected):
     refutation = benchmark(
-        lambda: corollary_5_4(factory(), 3, max_states=600_000)
+        lambda: corollary_5_4(factory(), 3, budget=BUDGET)
     )
     assert refutation.verdict is expected
 
@@ -63,14 +66,14 @@ def test_e3_submodel_size_and_table(benchmark):
             layering,
             layering.model.initial_states((0, 1)),
             max_depth=2,
-            max_states=600_000,
+            budget=BUDGET,
         )
 
     stats = benchmark(measure)
     assert stats.states > 8
     refutations = {
-        "QuorumDecide(2)": corollary_5_4(QuorumDecide(2), 3, 600_000),
-        "WaitForAll": corollary_5_4(WaitForAll(), 3, 600_000),
+        "QuorumDecide(2)": corollary_5_4(QuorumDecide(2), 3, BUDGET),
+        "WaitForAll": corollary_5_4(WaitForAll(), 3, BUDGET),
     }
     rows = [
         [

@@ -25,6 +25,9 @@ from repro.layerings.permutation import (
 from repro.models.async_mp import AsyncMessagePassingModel
 from repro.protocols.candidates import QuorumDecide, WaitForAll
 from repro.protocols.full_information import FullInformationProtocol
+from repro.resilience.budget import Budget
+
+BUDGET = Budget(max_states=600_000)
 
 
 def make_layering(protocol=None):
@@ -81,14 +84,14 @@ def test_e4_transposition_edges_sweep(benchmark):
 )
 def test_e4_defeat(benchmark, name, factory, expected):
     refutation = benchmark(
-        lambda: permutation_impossibility(factory(), 3, max_states=600_000)
+        lambda: permutation_impossibility(factory(), 3, budget=BUDGET)
     )
     assert refutation.verdict is expected
 
 
 def test_e4_bivalent_lasso_and_table(benchmark):
     def build():
-        return forever_bivalent_run(make_layering(), max_states=600_000)
+        return forever_bivalent_run(make_layering(), budget=BUDGET)
 
     lasso, analyzer = benchmark(build)
     rows = [

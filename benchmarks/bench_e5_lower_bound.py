@@ -13,6 +13,7 @@ from repro.analysis.sync_lower_bound import (
     defeat_fast_candidates,
     verify_tight_protocols,
 )
+from repro.resilience.budget import Budget
 
 GRID = [
     # (n, t, clean_crashes_only_for_full_model) — Section 6 assumes
@@ -25,11 +26,12 @@ GRID = [
 
 
 def crossover(n: int, t: int, clean: bool):
-    defeated = defeat_fast_candidates(n, t, max_states=2_000_000)
+    budget = Budget(max_states=2_000_000)
+    defeated = defeat_fast_candidates(n, t, budget=budget)
     verified = verify_tight_protocols(
         n,
         t,
-        max_states=2_000_000,
+        budget=budget,
         include_full_model=(n, t) == (3, 1),
         clean_crashes_only=clean,
     )
@@ -53,7 +55,7 @@ def test_e5_boundary_t_above_n_minus_2(benchmark):
     rows = benchmark.pedantic(
         defeat_fast_candidates,
         args=(3, 2),
-        kwargs={"max_states": 900_000},
+        kwargs={"budget": Budget(max_states=900_000)},
         rounds=1,
         iterations=1,
     )

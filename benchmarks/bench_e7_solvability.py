@@ -10,6 +10,7 @@ import pytest
 from benchmarks.helpers import save_table
 from repro.analysis.reports import render_table
 from repro.analysis.solvability_experiments import solvability_matrix
+from repro.resilience.budget import Budget
 from repro.tasks.catalog import CATALOG, EXPECTED_SOLVABLE
 from repro.tasks.thick import problem_is_k_thick_connected
 
@@ -32,7 +33,7 @@ def test_e7_matrix(benchmark):
         return solvability_matrix(
             n=3,
             tasks=FAST_TASKS + ["epsilon-agreement"],
-            max_states=900_000,
+            budget=Budget(max_states=900_000),
         )
 
     matrix = benchmark.pedantic(build, rounds=1, iterations=1)

@@ -32,6 +32,9 @@ from repro.models.shared_memory import SharedMemoryModel
 from repro.models.sync import SynchronousModel
 from repro.protocols.candidates import QuorumDecide, WaitForAll
 from repro.protocols.floodset import FloodSet
+from repro.resilience.budget import Budget
+
+BUDGET = Budget(max_states=600_000)
 
 
 def all_layerings():
@@ -54,14 +57,14 @@ def test_e9_layer_widths_table(benchmark):
     def build():
         rows = []
         for name, layering in all_layerings().items():
-            analyzer = ValenceAnalyzer(layering, max_states=600_000)
+            analyzer = ValenceAnalyzer(layering, budget=BUDGET)
             state = layering.model.initial_state((0, 1, 1))
             stats = layer_statistics(name, layering, state, analyzer)
             size = submodel_size(
                 layering,
                 [state],
                 max_depth=2,
-                max_states=600_000,
+                budget=BUDGET,
             )
             rows.append(
                 [
@@ -102,7 +105,7 @@ def test_e9_ablate_absent_actions(benchmark):
     VERIFIES in the ablated submodel.  The absent actions are exactly
     what makes the submodel 1-resilient."""
     layering = SynchronicRWLayering(SharedMemoryModel(WaitForAll(), 3))
-    full_report = ConsensusChecker(layering, 600_000).check_all(
+    full_report = ConsensusChecker(layering, BUDGET).check_all(
         layering.model
     )
     assert full_report.verdict is Verdict.DECISION
@@ -112,7 +115,7 @@ def test_e9_ablate_absent_actions(benchmark):
     )
 
     def check():
-        return ConsensusChecker(filtered, 600_000).check_all(layering.model)
+        return ConsensusChecker(filtered, BUDGET).check_all(layering.model)
 
     ablated_report = benchmark(check)
     assert ablated_report.verdict is Verdict.SATISFIED
@@ -128,12 +131,12 @@ def test_e9_ablate_short_schedules(benchmark):
     )
 
     def check():
-        return ConsensusChecker(filtered, 600_000).check_all(layering.model)
+        return ConsensusChecker(filtered, BUDGET).check_all(layering.model)
 
     report = benchmark(check)
     assert report.verdict is Verdict.SATISFIED
 
-    full_report = ConsensusChecker(layering, 600_000).check_all(
+    full_report = ConsensusChecker(layering, BUDGET).check_all(
         layering.model
     )
     assert full_report.verdict is Verdict.DECISION

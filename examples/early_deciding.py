@@ -25,9 +25,12 @@ from repro.analysis.sync_lower_bound import make_st_system
 from repro.core.checker import ConsensusChecker
 from repro.models.sync import NO_FAILURE, SynchronousModel, fail_action
 from repro.protocols.early_deciding import EarlyDecidingFloodSet
+from repro.resilience import Budget
 
 # CI smoke runs cap every exploration budget via this env var.
-MAX_STATES = int(os.environ.get("REPRO_MAX_STATES", "2000000"))
+BUDGET = Budget(
+    max_states=int(os.environ.get("REPRO_MAX_STATES", "2000000"))
+)
 
 
 def decision_profile(n: int, t: int):
@@ -61,7 +64,7 @@ def main() -> None:
     print("== Early-deciding FloodSet: exhaustive verification ==\n")
     for n, t in [(3, 1), (4, 2)]:
         layering = make_st_system(EarlyDecidingFloodSet(t), n, t)
-        report = ConsensusChecker(layering, MAX_STATES).check_all(
+        report = ConsensusChecker(layering, BUDGET).check_all(
             layering.model
         )
         print(

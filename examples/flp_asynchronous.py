@@ -13,6 +13,7 @@ Run:  python examples/flp_asynchronous.py
 
 from repro import (
     AsyncMessagePassingModel,
+    Budget,
     ConsensusChecker,
     FullInformationProtocol,
     PermutationLayering,
@@ -30,13 +31,15 @@ import os
 N = 3
 
 # CI smoke runs cap every exploration budget via this env var.
-MAX_STATES = int(os.environ.get("REPRO_MAX_STATES", "600000"))
+BUDGET = Budget(
+    max_states=int(os.environ.get("REPRO_MAX_STATES", "600000"))
+)
 
 
 def classify(protocol) -> None:
     model = AsyncMessagePassingModel(protocol, N)
     layering = PermutationLayering(model)
-    report = ConsensusChecker(layering, max_states=MAX_STATES).check_all(model)
+    report = ConsensusChecker(layering, budget=BUDGET).check_all(model)
     print(f"{protocol.name()}:")
     print(f"  verdict: {report.verdict.value}  (inputs {report.inputs})")
     if report.execution is not None:
@@ -77,7 +80,7 @@ def main() -> None:
     print("  (the short and full schedules share a successor, hence a valence)\n")
 
     print("== The forever-bivalent run (Lemma 3.6 + repeated Lemma 4.1) ==")
-    analyzer = ValenceAnalyzer(layering, max_states=MAX_STATES)
+    analyzer = ValenceAnalyzer(layering, budget=BUDGET)
     start = lemma_3_6(model.initial_states((0, 1)), layering, analyzer)
     inputs = [
         model.proto_local(start, i).input for i in range(N)

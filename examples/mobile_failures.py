@@ -17,6 +17,7 @@ Run:  python examples/mobile_failures.py
 """
 
 from repro import (
+    Budget,
     ConsensusChecker,
     FloodSet,
     MobileModel,
@@ -38,7 +39,9 @@ import os
 N = 3
 
 # CI smoke runs cap every exploration budget via this env var.
-MAX_STATES = int(os.environ.get("REPRO_MAX_STATES", "600000"))
+BUDGET = Budget(
+    max_states=int(os.environ.get("REPRO_MAX_STATES", "600000"))
+)
 
 
 def main() -> None:
@@ -65,7 +68,7 @@ def main() -> None:
     )
 
     print("\n== Corollary 5.2: FloodSet(t+1) falls to mobile failures ==\n")
-    report = ConsensusChecker(layering, MAX_STATES).check_all(model)
+    report = ConsensusChecker(layering, BUDGET).check_all(model)
     print(f"  FloodSet(2 rounds), correct for t=1 crashes: {report.verdict.value}")
     print(f"  inputs {report.inputs}; schedule:")
     for step, (_, j, group) in enumerate(report.execution.actions, 1):
@@ -80,7 +83,7 @@ def main() -> None:
 
     print("\n== Corollary 5.4: the same skeleton in shared memory ==\n")
     rw_layering = SynchronicRWLayering(SharedMemoryModel(QuorumDecide(2), N))
-    analyzer = ValenceAnalyzer(rw_layering, max_states=MAX_STATES)
+    analyzer = ValenceAnalyzer(rw_layering, budget=BUDGET)
     start = lemma_3_6(
         rw_layering.model.initial_states((0, 1)), rw_layering, analyzer
     )

@@ -16,6 +16,7 @@ Run:  python examples/quickstart.py
 import os
 
 from repro import (
+    Budget,
     ConsensusChecker,
     EIG,
     FloodSet,
@@ -26,7 +27,9 @@ from repro import (
 N, T = 3, 1
 
 # CI smoke runs cap every exploration budget via this env var.
-MAX_STATES = int(os.environ.get("REPRO_MAX_STATES", "1000000"))
+BUDGET = Budget(
+    max_states=int(os.environ.get("REPRO_MAX_STATES", "1000000"))
+)
 
 
 def describe_action(action) -> str:
@@ -43,7 +46,7 @@ def main() -> None:
     # -- 1. the doomed candidate: decide after t rounds --------------------
     doomed = SynchronousModel(FloodSet(rounds=T), N, T)
     layering = StSynchronousLayering(doomed)
-    report = ConsensusChecker(layering, MAX_STATES).check_all(doomed)
+    report = ConsensusChecker(layering, BUDGET).check_all(doomed)
     print(f"FloodSet({T} round) under S^t: {report.verdict.value}")
     print(f"  inputs: {report.inputs}")
     print(f"  what happened: {report.detail}")
@@ -66,9 +69,9 @@ def main() -> None:
     for protocol in (FloodSet(rounds=T + 1), EIG(rounds=T + 1)):
         model = SynchronousModel(protocol, N, T)
         st_report = ConsensusChecker(
-            StSynchronousLayering(model), MAX_STATES
+            StSynchronousLayering(model), BUDGET
         ).check_all(model)
-        full_report = ConsensusChecker(model, MAX_STATES).check_all(model)
+        full_report = ConsensusChecker(model, BUDGET).check_all(model)
         print(
             f"{protocol.name()}: S^t -> {st_report.verdict.value} "
             f"({st_report.states_explored} states), "

@@ -15,18 +15,21 @@ import os
 
 from repro.analysis.reports import render_table
 from repro.analysis.solvability_experiments import solvability_matrix
+from repro.resilience import Budget
 from repro.tasks.catalog import EXPECTED_SOLVABLE
 
 TASKS = ["consensus", "leader-election", "identity", "constant",
          "epsilon-agreement"]
 
 # CI smoke runs cap every exploration budget via this env var.
-MAX_STATES = int(os.environ.get("REPRO_MAX_STATES", "800000"))
+BUDGET = Budget(
+    max_states=int(os.environ.get("REPRO_MAX_STATES", "800000"))
+)
 
 
 def main() -> None:
     print("== Corollary 7.3: the solvability matrix (n=3, 1-resilient) ==\n")
-    matrix = solvability_matrix(n=3, tasks=TASKS, max_states=MAX_STATES)
+    matrix = solvability_matrix(n=3, tasks=TASKS, budget=BUDGET)
 
     rows = []
     for name, entry in matrix.items():

@@ -23,7 +23,7 @@ dual protocol, so experiments can sweep protocols × models uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.bivalence import build_bivalent_lasso
 from repro.core.cache import CacheSpec
@@ -45,7 +45,7 @@ from repro.models.async_mp import AsyncMessagePassingModel
 from repro.models.mobile import MobileModel
 from repro.models.shared_memory import SharedMemoryModel
 from repro.protocols.base import DualProtocol, MessagePassingProtocol
-from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
+from repro.resilience.budget import DEFAULT_BUDGET, Budget
 from repro.resilience.chaos import crashpoint
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.resilience.pool import PoolConfig
@@ -120,7 +120,7 @@ class Refutation:
 def refute_candidate(
     protocol,
     n: int,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
     campaign: Optional[CampaignCheckpoint] = None,
     workers: Optional[int] = None,
     pool: Optional[PoolConfig] = None,
@@ -132,9 +132,8 @@ def refute_candidate(
     """Run one candidate through every applicable layered model.
 
     Theorem 4.2 guarantees no verdict is ``SATISFIED``; callers assert it.
-    ``max_states`` accepts a state count or a full
-    :class:`~repro.resilience.Budget`; a *campaign* checkpoint makes the
-    sweep resumable model-by-model, stopping at the first model whose
+    ``budget`` is charged per model sweep; a *campaign* checkpoint makes
+    the sweep resumable model-by-model, stopping at the first model whose
     budget trips.  With ``workers > 1`` the per-model sweeps run on the
     fault-isolated worker pool and merge deterministically — results are
     identical to the sequential run, and a crashing model sweep is
@@ -150,7 +149,6 @@ def refute_candidate(
     (:mod:`repro.lint.contracts`) per layered system; an ill-formed
     candidate is diagnosed as ``ILL_FORMED`` instead of exploring.
     """
-    budget = Budget.of(max_states)
     layerings = standard_layerings(protocol, n)
     units = [
         (
@@ -178,7 +176,7 @@ def refute_candidate(
 
 def forever_bivalent_run(
     layering,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
     value_domain=(0, 1),
     cache: CacheSpec = True,
 ) -> tuple[RunWitness, ValenceAnalyzer]:
@@ -199,10 +197,10 @@ def forever_bivalent_run(
     everything), so Lemma 3.6's bivalence conclusion does not apply to it
     — its refutation comes from :func:`refute_candidate`'s lasso instead.
     """
-    # Strict: the bivalent walk *acts* on valence verdicts — extending a
-    # run along a state misclassified univalent-by-truncation would build
-    # an invalid proof object, so degradation is not sound here.
-    analyzer = ValenceAnalyzer(layering, max_states, strict=True, cache=cache)
+    # The bivalent walk *acts* on valence verdicts, so it relies on the
+    # analyzer raising when the budget runs out: a truncated valence
+    # would build an invalid proof object.
+    analyzer = ValenceAnalyzer(layering, budget, cache=cache)
     initial_states = layering.model.initial_states(value_domain)
     start = lemma_3_6(initial_states, layering, analyzer)
     lasso = build_bivalent_lasso(layering, analyzer, start)
@@ -212,14 +210,14 @@ def forever_bivalent_run(
 def corollary_5_2(
     protocol,
     n: int,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
     cache: CacheSpec = True,
     preflight: bool = True,
 ) -> Refutation:
     """Corollary 5.2: consensus unsolvable under a single mobile failure."""
     layering = S1MobileLayering(MobileModel(protocol, n))
     report = ConsensusChecker(
-        layering, max_states, cache=cache, preflight=preflight
+        layering, budget, cache=cache, preflight=preflight
     ).check_all(layering.model)
     return Refutation("s1-mobile", protocol.name(), report)
 
@@ -227,7 +225,7 @@ def corollary_5_2(
 def corollary_5_4(
     protocol: DualProtocol,
     n: int,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
     cache: CacheSpec = True,
     preflight: bool = True,
 ) -> Refutation:
@@ -235,7 +233,7 @@ def corollary_5_4(
     memory — in fact already in the barely-asynchronous ``S^rw`` submodel."""
     layering = SynchronicRWLayering(SharedMemoryModel(protocol, n))
     report = ConsensusChecker(
-        layering, max_states, cache=cache, preflight=preflight
+        layering, budget, cache=cache, preflight=preflight
     ).check_all(layering.model)
     return Refutation("synchronic-rw", protocol.name(), report)
 
@@ -243,13 +241,13 @@ def corollary_5_4(
 def permutation_impossibility(
     protocol,
     n: int,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
     cache: CacheSpec = True,
     preflight: bool = True,
 ) -> Refutation:
     """The FLP-style impossibility via the permutation layering."""
     layering = PermutationLayering(AsyncMessagePassingModel(protocol, n))
     report = ConsensusChecker(
-        layering, max_states, cache=cache, preflight=preflight
+        layering, budget, cache=cache, preflight=preflight
     ).check_all(layering.model)
     return Refutation("permutation-mp", protocol.name(), report)

@@ -17,7 +17,7 @@ construction against an explicit covering of a layered system's outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.cache import CacheSpec
 from repro.core.similarity import is_similarity_connected
@@ -29,7 +29,7 @@ from repro.protocols.tasks import (
     EpsilonAgreementProtocol,
     KSetAgreementProtocol,
 )
-from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
+from repro.resilience.budget import DEFAULT_BUDGET, Budget
 from repro.resilience.chaos import crashpoint
 from repro.resilience.pool import PoolConfig, run_units
 from repro.tasks.catalog import CATALOG, EXPECTED_SOLVABLE
@@ -123,7 +123,7 @@ def _matrix_unit(payload: str, context: _MatrixContext) -> MatrixEntry:
         problem,
         solver,
         max_input_set_size=max_input_set_size,
-        max_states=budget,
+        budget=budget,
         cache=cache,
         preflight=preflight,
     )
@@ -144,7 +144,7 @@ def _matrix_unit(payload: str, context: _MatrixContext) -> MatrixEntry:
 def solvability_matrix(
     n: int = 3,
     tasks: Optional[list[str]] = None,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
     max_input_set_size: Optional[int] = 3,
     workers: Optional[int] = None,
     pool: Optional[PoolConfig] = None,
@@ -162,7 +162,6 @@ def solvability_matrix(
     """
     import dataclasses
 
-    budget = Budget.of(max_states)
     names = list(tasks or sorted(CATALOG))
     context = _MatrixContext(
         n=n,
@@ -204,7 +203,7 @@ def lemma_7_1_run(
     covering: Covering,
     initial_states: list[GlobalState],
     length: int,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> list[GlobalState]:
     """Lemma 7.1's construction: a run bivalent w.r.t. a covering.
 
@@ -212,7 +211,7 @@ def lemma_7_1_run(
     covering covers with both sides inhabited; returns the constructed
     generalized-bivalent execution's states (length + 1 of them).
     """
-    analyzer = OutcomeAnalyzer(layering, max_states)
+    analyzer = OutcomeAnalyzer(layering, budget)
     if not is_similarity_connected(initial_states, layering):
         raise ValueError("Lemma 7.1 precondition: I not similarity connected")
     all_outcomes = set()
@@ -249,7 +248,7 @@ def diameter_table(
     layering,
     initial_states: list[GlobalState],
     rounds: int,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> list[dict]:
     """Experiment E8: measured layer diameters vs the Lemma 7.6 bound,
     round by round, starting from the initial set.
@@ -263,7 +262,7 @@ def diameter_table(
     """
     from repro.tasks.diameter import layer_image
 
-    meter = Budget.of(max_states).meter()
+    meter = budget.meter()
     table = []
     current = list(dict.fromkeys(initial_states))
     for round_index in range(rounds):

@@ -11,14 +11,14 @@ connectivity structure the proofs rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.core.exploration import ExplorationStats, explore
 from repro.core.similarity import is_similarity_connected
 from repro.core.state import GlobalState
 from repro.core.valence import ValenceAnalyzer
 from repro.layerings.base import Layering
-from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
+from repro.resilience.budget import DEFAULT_BUDGET, Budget
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def submodel_size(
     layering,
     initial_states: list[GlobalState],
     max_depth: Optional[int] = None,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> ExplorationStats:
     """Reachable-state statistics of the layered submodel."""
-    return explore(layering, initial_states, max_depth, max_states)
+    return explore(layering, initial_states, max_depth, budget)

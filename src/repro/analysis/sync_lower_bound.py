@@ -23,7 +23,7 @@ The supporting lemmas are replayed with witnesses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.analysis.lemmas import LemmaReport
 from repro.core.bivalence import bivalent_successor
@@ -42,7 +42,7 @@ from repro.models.sync import SynchronousModel
 from repro.protocols.base import MessagePassingProtocol
 from repro.protocols.eig import EIG
 from repro.protocols.floodset import FloodSet
-from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
+from repro.resilience.budget import DEFAULT_BUDGET, Budget
 from repro.resilience.chaos import crashpoint
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.resilience.pool import PoolConfig
@@ -110,7 +110,7 @@ def _campaign_rows(
 def defeat_fast_candidates(
     n: int,
     t: int,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
     campaign: Optional[CampaignCheckpoint] = None,
     workers: Optional[int] = None,
     pool: Optional[PoolConfig] = None,
@@ -125,15 +125,13 @@ def defeat_fast_candidates(
     refuted by the ``S^t`` adversary (they always decide and are valid,
     so the violation is agreement — the classic ``t``-round scenario).
 
-    ``max_states`` accepts a state count or a full
-    :class:`~repro.resilience.Budget`; a *campaign* checkpoint makes the
+    ``budget`` is charged per unit; a *campaign* checkpoint makes the
     sweep resumable unit-by-unit, stopping at the first unit whose budget
     trips (continuing under an exhausted wall clock would be futile).
     ``workers > 1`` runs the units on the fault-isolated pool with a
     deterministic merge — identical rows, crashes quarantined (see
     :func:`repro.core.checker.run_campaign`).
     """
-    budget = Budget.of(max_states)
     specs = []
     for rounds in range(1, t + 1):
         for protocol in (FloodSet(rounds), EIG(rounds)):
@@ -159,7 +157,7 @@ def defeat_fast_candidates(
 def verify_tight_protocols(
     n: int,
     t: int,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
     include_full_model: bool = True,
     clean_crashes_only: bool = False,
     campaign: Optional[CampaignCheckpoint] = None,
@@ -177,7 +175,6 @@ def verify_tight_protocols(
     failures per round with arbitrary blocked subsets.  Budget, campaign
     and worker semantics as in :func:`defeat_fast_candidates`.
     """
-    budget = Budget.of(max_states)
     specs = []
     for protocol in (FloodSet(t + 1), EIG(t + 1)):
         layering = make_st_system(protocol, n, t)
@@ -289,7 +286,7 @@ def lemma_6_4(
     n: int,
     t: int,
     protocol: Optional[MessagePassingProtocol] = None,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> LemmaReport:
     """Lemma 6.4: for a fast protocol, if at most ``k`` processes have
     failed by the end of round ``k`` and round ``k+1`` is failure-free,
@@ -300,9 +297,9 @@ def lemma_6_4(
     """
     protocol = protocol or FloodSet(t + 1)
     layering = make_st_system(protocol, n, t)
-    # Strict: the lemma's conclusion quantifies over complete valences —
-    # a partial (lower-bound) valence could miss a bivalence witness.
-    analyzer = ValenceAnalyzer(layering, max_states, strict=True)
+    # The lemma's conclusion quantifies over complete valences, which the
+    # analyzer guarantees by raising when the budget runs out.
+    analyzer = ValenceAnalyzer(layering, budget)
     model = layering.model
     violations = 0
     checked = 0

@@ -22,7 +22,7 @@ the :class:`EpsilonAgreementProtocol` needs).
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.checker import Verdict
 from repro.core.state import GlobalState
@@ -30,7 +30,7 @@ from repro.layerings.st_synchronous import StSynchronousLayering
 from repro.models.sync import SynchronousModel
 from repro.protocols.base import MessagePassingProtocol
 from repro.tasks.checker import TaskChecker, TaskReport
-from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
+from repro.resilience.budget import DEFAULT_BUDGET, Budget
 from repro.tasks.problem import DecisionProblem
 from repro.tasks.thick import problem_is_k_thick_connected
 
@@ -40,7 +40,7 @@ def check_solves_in_rounds(
     protocol: MessagePassingProtocol,
     t: int,
     rounds: int,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> TaskReport:
     """Verify a protocol solves *problem* within *rounds* ``S^t`` layers.
 
@@ -52,7 +52,6 @@ def check_solves_in_rounds(
     """
     model = SynchronousModel(protocol, problem.n, t)
     layering = StSynchronousLayering(model)
-    budget = Budget.of(max_states)
     checker = TaskChecker(layering, problem, budget)
     report = checker.check_all(model)
     if not report.satisfied:

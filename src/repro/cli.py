@@ -26,8 +26,8 @@ Resource limits and resumability (the resilience layer):
   (budget or Ctrl-C); ``--resume PATH`` picks it up again — completed
   units replay instantly, the interrupted unit continues from its saved
   frontier.  ``lower-bound`` and ``impossibility`` support this;
-  the other subcommands accept the flags but run strict analyses whose
-  partial results are not checkpointable.
+  the other subcommands accept the flags, but their engines raise on
+  exhaustion rather than return a checkpointable partial result.
 * Checkpoints are written as an append-only **journal**
   (:mod:`repro.resilience.journal`): one small record per finished unit,
   fsync'd as the unit completes, self-healing on load if a crash tore
@@ -273,7 +273,7 @@ def _cmd_solvability(args: argparse.Namespace) -> int:
     matrix = solvability_matrix(
         n=args.n,
         tasks=tasks,
-        max_states=args.budget,
+        budget=args.budget,
         workers=args.workers,
         pool=args.pool,
         cache=args.cache,
@@ -315,11 +315,9 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
     from repro.protocols.floodset import FloodSet
 
     layering = S1MobileLayering(MobileModel(FloodSet(2), args.n))
-    # Strict: the lemma walks act on valence verdicts, so a truncated
-    # valence must abort (caught at top level as inconclusive).
-    analyzer = ValenceAnalyzer(
-        layering, args.budget, strict=True, cache=args.cache
-    )
+    # The lemma walks act on valence verdicts: a tripped budget raises
+    # (caught at top level as inconclusive).
+    analyzer = ValenceAnalyzer(layering, args.budget, cache=args.cache)
     initials = layering.model.initial_states((0, 1))
     print(f"== Executable lemmas over S_1/M^mf (n={args.n}) ==\n")
     reports = [lemma_3_6_report(layering, analyzer, initials)]
@@ -352,7 +350,7 @@ def _cmd_diameter(args: argparse.Namespace) -> int:
         f"{args.rounds} rounds) ==\n"
     )
     table = diameter_table(
-        layering, initials, args.rounds, max_states=args.budget
+        layering, initials, args.rounds, budget=args.budget
     )
     rows = []
     stopped_by_budget = False

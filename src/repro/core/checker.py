@@ -42,8 +42,8 @@ Degradation is **sound**: violations are detected the moment their state
 is generated, so any violation found before a budget trips is returned as
 a definitive refutation — a budget can only ever turn would-be
 ``SATISFIED`` into ``UNKNOWN``, never a violation into ``SATISFIED``.
-``strict=True`` restores the historical behaviour of raising
-:class:`~repro.core.valence.ExplorationLimitExceeded` on exhaustion.
+The checker never raises on exhaustion: a tripped budget and a Ctrl-C
+both end in ``UNKNOWN`` (the latter marked ``interrupted``).
 
 Every violation carries a replayable witness: the exact sequence of layer
 actions from an initial state.  Replaying it through the layering
@@ -58,16 +58,15 @@ from collections import deque
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.run import Execution, RunWitness
 from repro.core.state import GlobalState
-from repro.core.valence import ExplorationLimitExceeded
 from repro.resilience.budget import (
+    DEFAULT_BUDGET,
     Budget,
     BudgetMeter,
     BudgetStats,
-    DEFAULT_MAX_STATES,
 )
 from repro.resilience.chaos import crashpoint
 from repro.resilience.checkpoint import (
@@ -178,13 +177,9 @@ class ConsensusChecker:
 
     Args:
         system: a :class:`SuccessorSystem` (layering or model).
-        max_states: exploration budget per input assignment — a legacy
-            state count (deprecated alias) or a full
-            :class:`~repro.resilience.Budget`.
-        strict: if True, budget exhaustion raises
-            :class:`ExplorationLimitExceeded` as it historically did;
-            by default it degrades to an ``UNKNOWN`` report carrying
-            statistics and a resumable checkpoint.
+        budget: the :class:`~repro.resilience.Budget` charged per input
+            assignment.  Exhausting it yields an ``UNKNOWN`` report
+            carrying statistics and a resumable checkpoint.
         cache: memoize the successor system (see
             :func:`repro.core.cache.resolve_cache`): ``True`` for an
             unbounded cache shared across every assignment this checker
@@ -196,8 +191,7 @@ class ConsensusChecker:
         preflight: run the bounded contract preflight
             (:func:`repro.lint.contracts.preflight_system`) on the first
             ``check``/``check_all``, returning an ``ILL_FORMED`` report
-            (or raising :class:`~repro.lint.IllFormedSystemError` when
-            *strict*) instead of exploring an ill-formed system.  Default
+            instead of exploring an ill-formed system.  Default
             on; ``preflight=False`` reproduces pre-preflight behaviour
             exactly.  The probe runs against the *uncached* system and is
             memoized per system object, so its cost is one bounded BFS
@@ -207,23 +201,21 @@ class ConsensusChecker:
     def __init__(
         self,
         system,
-        max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
-        strict: bool = False,
+        budget: Budget = DEFAULT_BUDGET,
         cache=None,
         preflight: bool = True,
     ) -> None:
         from repro.core.cache import resolve_cache
 
         self._system = resolve_cache(system, cache)
-        self._budget = Budget.of(max_states)
-        self._strict = strict
+        self._budget = budget
         self._preflight = preflight
 
     def _preflight_gate(
         self, roots, inputs: Optional[tuple]
     ) -> Optional[ConsensusReport]:
         """Run the contract preflight once; the ILL_FORMED report if it
-        failed, else None.  Raises when the checker is strict."""
+        failed, else None."""
         if not self._preflight:
             return None
         from repro.lint.contracts import preflight_once
@@ -234,8 +226,6 @@ class ConsensusChecker:
         except KeyboardInterrupt:
             # Ctrl-C during the probe degrades exactly like Ctrl-C during
             # the BFS it guards: UNKNOWN with a zero-progress checkpoint.
-            if self._strict:
-                raise
             meter = self._budget.meter()
             return self._unknown_report(
                 inputs,
@@ -248,8 +238,6 @@ class ConsensusChecker:
             )
         if report is None or report.ok:
             return None
-        if self._strict:
-            report.raise_if_ill_formed()
         return ConsensusReport(
             verdict=Verdict.ILL_FORMED,
             inputs=inputs,
@@ -401,7 +389,6 @@ class ConsensusChecker:
             system=self._system,
             model=model,
             budget=self._budget,
-            strict=self._strict,
             preflight=self._preflight,
             domain=domain,
         )
@@ -607,8 +594,6 @@ class ConsensusChecker:
                 # Re-queue the half-processed state (re-processing it on
                 # resume is idempotent) and degrade to a checkpoint.
                 queue.appendleft(state)
-                if self._strict:
-                    raise
                 return self._unknown_report(
                     inputs,
                     parent,
@@ -624,8 +609,6 @@ class ConsensusChecker:
                 initial_state, edges, terminal, meter
             )
         except KeyboardInterrupt:
-            if self._strict:
-                raise
             return self._unknown_report(
                 inputs,
                 parent,
@@ -673,13 +656,8 @@ class ConsensusChecker:
         meter: BudgetMeter,
         tripped: Optional[str],
     ) -> ConsensusReport:
-        """Build the graceful-degradation report (or raise when strict)."""
+        """Build the graceful-degradation report."""
         crashpoint("checker.budget.trip")
-        if self._strict:
-            raise ExplorationLimitExceeded(
-                f"exploration budget exhausted ({tripped}) after "
-                f"{len(parent)} states from inputs {inputs!r}"
-            )
         stats = meter.stats(frontier=len(queue))
         cp = ExplorationCheckpoint(
             fingerprint=system_fingerprint(self._system),
@@ -889,12 +867,11 @@ class _SweepContext:
     """
 
     def __init__(
-        self, system, model, budget, strict, preflight, domain, cache=None
+        self, system, model, budget, preflight, domain, cache=None
     ):
         self.system = system
         self.model = model
         self.budget = budget
-        self.strict = strict
         self.preflight = preflight
         self.domain = domain
         self.cache = cache
@@ -907,7 +884,6 @@ class _SweepContext:
             self._checker = ConsensusChecker(
                 self.system,
                 self.budget,
-                strict=self.strict,
                 cache=self.cache,
                 preflight=self.preflight,
             )
@@ -1031,7 +1007,6 @@ class _CampaignContext:
                 system=unit.system,
                 model=unit.model,
                 budget=unit.budget,
-                strict=False,
                 preflight=unit.preflight,
                 domain=(0, 1),
                 cache=unit.cache,

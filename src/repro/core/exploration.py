@@ -8,14 +8,12 @@ layering actually are, and how much sharing the canonical hashable state
 representation buys.
 
 Both explorers charge a cooperative :class:`~repro.resilience.Budget`
-(states, edges, wall clock, best-effort memory); the legacy
-``max_states: int`` parameter is kept as a deprecated alias that builds a
-states-only budget via :meth:`Budget.of`.  :func:`explore` degrades
-gracefully by default: on exhaustion it returns the partial statistics
-with ``complete=False`` and the tripped limit recorded (pass
-``strict=True`` to restore the raising behaviour).
-:func:`reachable_states` returns a bare ``{state: depth}`` mapping, which
-cannot express partiality, so it stays strict by default.
+(states, edges, wall clock, best-effort memory).  On exhaustion
+:func:`explore` returns the partial statistics with ``complete=False``
+and the tripped limit recorded.  :func:`reachable_states` and
+:func:`reachable_states_parallel` return a bare ``{state: depth}``
+mapping, which cannot express partiality, so they raise
+:class:`~repro.core.valence.ExplorationLimitExceeded` instead.
 """
 
 from __future__ import annotations
@@ -23,12 +21,12 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.cache import CacheSpec, CacheStats, CachedSystem, resolve_cache
 from repro.core.state import GlobalState
 from repro.core.valence import ExplorationLimitExceeded
-from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
+from repro.resilience.budget import DEFAULT_BUDGET, Budget
 from repro.resilience.chaos import crashpoint
 from repro.resilience.pool import (
     PoolConfig,
@@ -105,10 +103,9 @@ class _ExploreContext:
     root configs plus a per-shard budget.
     """
 
-    def __init__(self, system, max_depth, strict, cache, preflight, probe):
+    def __init__(self, system, max_depth, cache, preflight, probe):
         self.system = system
         self.max_depth = max_depth
-        self.strict = strict
         self.cache = cache
         self.preflight = preflight
         self.probe = probe  # StatePack sample of roots for warmup
@@ -160,8 +157,7 @@ def _reachable_shard(payload, context: _ExploreContext):
     roots = pack.unpack(context.intern)
     mapping = reachable_states(
         context.resolved(), roots, max_depth=context.max_depth,
-        max_states=budget, strict=context.strict,
-        preflight=context.preflight,
+        budget=budget, preflight=context.preflight,
     )
     return pack_depths(mapping)
 
@@ -170,8 +166,7 @@ def reachable_states_parallel(
     system,
     roots: Iterable[GlobalState],
     max_depth: int | None = None,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
-    strict: bool = True,
+    budget: Budget = DEFAULT_BUDGET,
     workers: int = 2,
     pool: Optional[PoolConfig] = None,
     cache: CacheSpec = None,
@@ -190,9 +185,9 @@ def reachable_states_parallel(
     from several shards are explored redundantly; the merge removes the
     duplicates).  The budget is :meth:`~repro.resilience.Budget.split`
     exactly across shards so the shards together charge at most the
-    configured limits; a shard whose budget trips raises (strict) or
-    truncates (non-strict) exactly like the sequential engine, and a
-    shard whose worker crashes twice raises ``RuntimeError`` naming the
+    configured limits; a shard whose budget trips raises
+    :class:`ExplorationLimitExceeded` naming the shard, and a shard
+    whose worker crashes twice raises ``RuntimeError`` naming the
     quarantined shard.
 
     Plumbing costs are O(shard descriptor), not O(state space): the
@@ -205,11 +200,9 @@ def reachable_states_parallel(
     root_list = list(dict.fromkeys(roots))
     if workers <= 1 or len(root_list) < 2:
         return reachable_states(
-            system, root_list, max_depth=max_depth,
-            max_states=max_states, strict=strict, cache=cache,
-            preflight=preflight,
+            system, root_list, max_depth=max_depth, budget=budget,
+            cache=cache, preflight=preflight,
         )
-    budget = Budget.of(max_states)
     if shard_states is not None and shard_states < 1:
         raise ValueError("shard_states must be >= 1")
     size = shard_states or max(
@@ -225,7 +218,7 @@ def reachable_states_parallel(
         for index, shard in enumerate(shards)
     ]
     context = _ExploreContext(
-        system, max_depth, strict, cache, preflight,
+        system, max_depth, cache, preflight,
         probe=pack_states(root_list[: min(4, len(root_list))]),
     )
     config = pool or PoolConfig()
@@ -243,10 +236,7 @@ def reachable_states_parallel(
             # recorded, not on the cause text: messages and reprs may
             # change, the category is stable.
             category = outcome.error_category()
-            if (
-                category == exception_category(ExplorationLimitExceeded)
-                and strict
-            ):
+            if category == exception_category(ExplorationLimitExceeded):
                 raise ExplorationLimitExceeded(
                     f"exploration shard {index} exhausted its budget: "
                     f"{cause}",
@@ -274,16 +264,14 @@ def reachable_states(
     system,
     roots: Iterable[GlobalState],
     max_depth: int | None = None,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
-    strict: bool = True,
+    budget: Budget = DEFAULT_BUDGET,
     cache: CacheSpec = None,
     preflight: bool = True,
 ) -> dict[GlobalState, int]:
     """BFS the reachable set; returns ``{state: first-reached depth}``.
 
-    With ``strict=False`` a budget exhaustion returns the partial mapping
-    discovered so far instead of raising — callers who opt in must treat
-    the result as a lower bound on reachability.  For a worker-pool
+    Budget exhaustion raises :class:`ExplorationLimitExceeded`.  For a
+    worker-pool
     variant sharded over the root frontier see
     :func:`reachable_states_parallel`.  ``cache`` memoizes the successor
     function (see :func:`repro.core.cache.resolve_cache`) — the mapping
@@ -296,7 +284,7 @@ def reachable_states(
     _preflight_or_raise(system, root_seq, preflight)
     roots = root_seq
     system = resolve_cache(system, cache)
-    meter = Budget.of(max_states).meter()
+    meter = budget.meter()
     depth: dict[GlobalState, int] = {}
     queue: deque[GlobalState] = deque()
     for root in roots:
@@ -306,12 +294,10 @@ def reachable_states(
             if tripped is not None:
                 # The root frontier alone can exhaust the state budget;
                 # honor the trip instead of silently blowing past it.
-                if strict:
-                    raise ExplorationLimitExceeded(
-                        f"exploration budget exhausted ({tripped}) while "
-                        f"seeding {meter.states} root states"
-                    )
-                return depth
+                raise ExplorationLimitExceeded(
+                    f"exploration budget exhausted ({tripped}) while "
+                    f"seeding {meter.states} root states"
+                )
             queue.append(root)
     while queue:
         state = queue.popleft()
@@ -323,22 +309,18 @@ def reachable_states(
                 # Honor the trip at the charge site — the every-256-ops
                 # slow check would let a high-degree expansion overshoot
                 # the edge budget by a whole layer.
-                if strict:
-                    raise ExplorationLimitExceeded(
-                        f"exploration budget exhausted ({tripped}) after "
-                        f"{meter.edges} generated edges"
-                    )
-                return depth
+                raise ExplorationLimitExceeded(
+                    f"exploration budget exhausted ({tripped}) after "
+                    f"{meter.edges} generated edges"
+                )
             if child not in depth:
                 depth[child] = depth[state] + 1
                 tripped = meter.charge_state(child)
                 if tripped is not None:
-                    if strict:
-                        raise ExplorationLimitExceeded(
-                            f"exploration budget exhausted ({tripped}) "
-                            f"after {meter.states} reachable states"
-                        )
-                    return depth
+                    raise ExplorationLimitExceeded(
+                        f"exploration budget exhausted ({tripped}) "
+                        f"after {meter.states} reachable states"
+                    )
                 queue.append(child)
     return depth
 
@@ -347,16 +329,14 @@ def explore(
     system,
     roots: Iterable[GlobalState],
     max_depth: int | None = None,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
-    strict: bool = False,
+    budget: Budget = DEFAULT_BUDGET,
     cache: CacheSpec = None,
     preflight: bool = True,
 ) -> ExplorationStats:
     """BFS with full statistics (see :class:`ExplorationStats`).
 
     Budget exhaustion returns the partial statistics with
-    ``complete=False`` and the tripped limit named; ``strict=True``
-    raises :class:`ExplorationLimitExceeded` instead.  ``cache``
+    ``complete=False`` and the tripped limit named.  ``cache``
     memoizes the successor function (see
     :func:`repro.core.cache.resolve_cache`); when enabled, the cache's
     counters are snapshotted into ``stats.cache_stats``.  All other
@@ -368,7 +348,7 @@ def explore(
     _preflight_or_raise(system, root_seq, preflight)
     roots = root_seq
     system = resolve_cache(system, cache)
-    meter = Budget.of(max_states).meter()
+    meter = budget.meter()
     stats = ExplorationStats()
     depth: dict[GlobalState, int] = {}
     queue: deque[GlobalState] = deque()
@@ -408,11 +388,6 @@ def explore(
             queue.append(child)
     if tripped is not None:
         crashpoint("exploration.budget.trip")
-    if tripped is not None and strict:
-        raise ExplorationLimitExceeded(
-            f"exploration budget exhausted ({tripped}) after "
-            f"{len(depth)} reachable states"
-        )
     stats.states = len(depth)
     stats.depth_reached = max(per_depth) if per_depth else 0
     stats.frontier_sizes = [per_depth[d] for d in sorted(per_depth)]

@@ -45,20 +45,21 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Optional, Union
-
 from repro.core.state import GlobalState
-from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
+from repro.resilience.budget import DEFAULT_BUDGET, Budget
 
 
 class ExplorationLimitExceeded(RuntimeError):
-    """Raised when an analysis would explore more states than its budget.
+    """Raised when an analysis runs out of its :class:`Budget`.
 
     Usually means the protocol under analysis does not have a finite
     reachable state space (see :mod:`repro.protocols.base`), or the model
-    instance is too large for exhaustive analysis.  Engines that degrade
-    gracefully (the default) report exhaustion through their results
-    instead of raising; pass ``strict=True`` to restore this exception.
+    instance is too large for exhaustive analysis.  The engines whose
+    results cannot express partiality raise it: the valence and outcome
+    analyzers, :func:`~repro.core.exploration.reachable_states` (and its
+    parallel variant) and the task checker.  The consensus checker and
+    :func:`~repro.core.exploration.explore` report exhaustion through
+    their results instead.
 
     ``shard`` is the index of the exploration shard whose budget tripped
     when the exception is re-raised by a *parallel* engine (``None`` for
@@ -89,17 +90,13 @@ class ValenceResult:
             :class:`repro.core.checker.ConsensusChecker` or
             :class:`repro.tasks.covering.OutcomeAnalyzer`; always
             ``outcome.diverges implies valence.diverges``.
-        complete: whether the analysis explored the full reachable
-            subgraph.  When False (a budget tripped mid-exploration),
-            ``values`` is a sound *lower bound* — every listed value is
-            genuinely reachable, but others may exist — and ``diverges``
-            is undetermined (reported False).  Incomplete results are
-            never memoized.
+
+    Results are always exact: an analysis that runs out of budget
+    raises :class:`ExplorationLimitExceeded` instead of returning one.
     """
 
     values: frozenset
     diverges: bool
-    complete: bool = True
 
     def is_v_valent(self, v: Hashable) -> bool:
         """Whether some extension decides *v* (Section 3's v-valence)."""
@@ -107,18 +104,13 @@ class ValenceResult:
 
     @property
     def bivalent(self) -> bool:
-        """At least two distinct decision values are reachable.
-
-        Sound even for incomplete results: the listed values were all
-        actually observed, so two of them certify bivalence.
-        """
+        """At least two distinct decision values are reachable."""
         return len(self.values) >= 2
 
     @property
     def univalent(self) -> bool:
-        """Exactly one reachable decision value — requires completeness
-        (an incomplete result cannot exclude further values)."""
-        return self.complete and len(self.values) == 1
+        """Exactly one reachable decision value."""
+        return len(self.values) == 1
 
     def univalent_value(self) -> Hashable:
         """The unique reachable decision value of a univalent state."""
@@ -141,17 +133,11 @@ class ValenceAnalyzer:
     Args:
         system: any object with ``successors``, ``failed_at`` and
             ``decisions`` (a model or a layering).
-        max_states: exploration budget shared across all queries — a
-            legacy state count or a full :class:`~repro.resilience.Budget`
-            (states, edges, wall clock, memory).
-        strict: if True, budget exhaustion raises
-            :class:`ExplorationLimitExceeded` (the historical behaviour);
-            by default the analyzer degrades gracefully, returning an
-            incomplete :class:`ValenceResult` (``complete=False``) whose
-            value set is a sound lower bound.  Proof-construction code
-            (the bivalence walks, the lemma drivers) passes
-            ``strict=True`` because acting on a partial valence there
-            would be unsound.
+        budget: the :class:`~repro.resilience.Budget` (states, edges,
+            wall clock, memory) shared across all queries.  Exhausting
+            it raises :class:`ExplorationLimitExceeded`: the bivalence
+            walks and lemma drivers act on valence verdicts, and a
+            truncated valence would make their proofs unsound.
         cache: memoize the successor system (see
             :func:`repro.core.cache.resolve_cache`): ``True`` for an
             unbounded cache, an int for an LRU bound, or a prebuilt
@@ -163,16 +149,13 @@ class ValenceAnalyzer:
     def __init__(
         self,
         system,
-        max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
-        strict: bool = False,
+        budget: Budget = DEFAULT_BUDGET,
         cache=None,
     ) -> None:
         from repro.core.cache import resolve_cache
 
         self._system = resolve_cache(system, cache)
-        self._budget = Budget.of(max_states)
-        self._meter = self._budget.meter()
-        self._strict = strict
+        self._meter = budget.meter()
         self._memo: dict[GlobalState, ValenceResult] = {}
 
     @property
@@ -207,12 +190,10 @@ class ValenceAnalyzer:
 
     # -- queries --------------------------------------------------------------
     def valence(self, state: GlobalState) -> ValenceResult:
-        """The :class:`ValenceResult` of *state*.
+        """The exact :class:`ValenceResult` of *state* (memoized).
 
-        Exact (``complete=True``) whenever the exploration finishes
-        within budget; on exhaustion in non-strict mode, an incomplete
-        lower-bound result (see :class:`ValenceResult`) that is *not*
-        memoized.
+        Raises :class:`ExplorationLimitExceeded` when the budget runs
+        out first.
         """
         cached = self._memo.get(state)
         if cached is not None:
@@ -225,35 +206,21 @@ class ValenceAnalyzer:
 
     # -- the SCC/condensation pass ---------------------------------------------
     def _analyze(self, root: GlobalState) -> ValenceResult:
-        succ, tripped, seen = self._explore(root)
-        if tripped is not None:
-            if self._strict:
-                raise ExplorationLimitExceeded(
-                    f"valence budget exhausted ({tripped}) after "
-                    f"{self._meter.states} states; is the protocol "
-                    "finite-state?"
-                )
-            values: set = set()
-            for state in seen:
-                memoed = self._memo.get(state)
-                if memoed is not None:
-                    values |= memoed.values
-                else:
-                    values |= self.own_values(state)
-            return ValenceResult(frozenset(values), False, complete=False)
-        self._tarjan_fold(root, succ)
+        self._tarjan_fold(root, self._explore(root))
         return self._memo[root]
+
+    def _exhausted(self, tripped: str) -> ExplorationLimitExceeded:
+        return ExplorationLimitExceeded(
+            f"valence budget exhausted ({tripped}) after "
+            f"{self._meter.states} states; is the protocol finite-state?"
+        )
 
     def _explore(
         self, root: GlobalState
-    ) -> tuple[
-        dict[GlobalState, tuple[GlobalState, ...]],
-        Optional[str],
-        set[GlobalState],
-    ]:
+    ) -> dict[GlobalState, tuple[GlobalState, ...]]:
         """Build the reachable subgraph, stopping at terminal/memoized
-        states.  Returns ``(succ, tripped_limit, seen)`` — ``tripped``
-        is None when the subgraph was explored completely."""
+        states; raise :class:`ExplorationLimitExceeded` if the budget
+        trips first."""
         meter = self._meter
         succ: dict[GlobalState, tuple[GlobalState, ...]] = {}
         stack = [root]
@@ -271,11 +238,11 @@ class ValenceAnalyzer:
             for _, child in self._system.successors(state):
                 tripped = meter.charge_edge()
                 if tripped is not None:
-                    # Propagate the trip at the charge site: waiting for
-                    # the every-256-states poll would let a single
+                    # Raise at the charge site: waiting for the
+                    # every-256-states poll would let a single
                     # high-degree expansion overshoot the edge budget by
                     # an entire layer.
-                    return succ, tripped, seen
+                    raise self._exhausted(tripped)
                 if child not in child_seen:
                     child_seen.add(child)
                     children.append(child)
@@ -292,8 +259,8 @@ class ValenceAnalyzer:
                     tripped = meter.charge_state(child) or tripped
                     stack.append(child)
             if tripped is not None:
-                return succ, tripped, seen
-        return succ, None, seen
+                raise self._exhausted(tripped)
+        return succ
 
     def _tarjan_fold(
         self,

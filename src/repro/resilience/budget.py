@@ -2,11 +2,9 @@
 
 Every exhaustive engine in this library — the consensus checker, the
 valence analyzer, the reachability explorers, the task/outcome checkers —
-walks a finite but potentially huge state space.  Historically each took a
-bare ``max_states: int`` and raised
-:class:`~repro.core.valence.ExplorationLimitExceeded` the moment the count
-was crossed, discarding all work.  A :class:`Budget` generalizes that
-single knob into a bundle of cooperative limits:
+walks a finite but potentially huge state space, and each takes one
+``budget: Budget`` parameter (default :data:`DEFAULT_BUDGET`).  A
+:class:`Budget` is a bundle of cooperative limits:
 
 * ``max_states`` — distinct states visited (the classic knob);
 * ``max_edges`` — successor edges generated (guards branching blowup
@@ -24,10 +22,13 @@ work — time and memory are only re-checked every
 checks cost well under the 5% overhead target
 (``benchmarks/bench_e13_budget_overhead.py`` measures it).
 
-Backwards compatibility: every API that used to take ``max_states: int``
-now coerces it through :func:`Budget.of`, so old call sites keep working
-and a caller that wants richer limits passes a ``Budget`` through the
-same parameter.
+What an engine does when its budget runs out is fixed per engine:
+:class:`~repro.core.checker.ConsensusChecker` returns an ``UNKNOWN``
+report with a resumable checkpoint and
+:func:`~repro.core.exploration.explore` returns ``complete=False``
+statistics, while every engine whose result cannot express partiality
+(the valence and outcome analyzers, the reachable-set explorers, the
+task checker) raises :class:`~repro.core.valence.ExplorationLimitExceeded`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 #: Names of the limits a meter can report as tripped.  ``"interrupted"``
 #: is reserved for KeyboardInterrupt converted into a graceful stop.
@@ -44,8 +45,6 @@ LIMIT_EDGES = "edges"
 LIMIT_TIME = "time"
 LIMIT_MEMORY = "memory"
 LIMIT_INTERRUPTED = "interrupted"
-
-DEFAULT_MAX_STATES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -70,23 +69,6 @@ class Budget:
             object.__setattr__(
                 self, "deadline", time.monotonic() + self.max_seconds
             )
-
-    @classmethod
-    def of(
-        cls, limit: Union["Budget", int, None], default: Optional[int] = None
-    ) -> "Budget":
-        """Coerce a legacy ``max_states`` value (or ``None``) to a Budget.
-
-        This is the deprecation shim for the old ``max_states: int``
-        parameters: an ``int`` becomes ``Budget(max_states=...)``, a
-        ``Budget`` passes through unchanged, and ``None`` becomes a
-        budget limited to *default* states (unlimited if that is None).
-        """
-        if isinstance(limit, Budget):
-            return limit
-        if limit is None:
-            return cls(max_states=default)
-        return cls(max_states=int(limit))
 
     @classmethod
     def unlimited(cls) -> "Budget":
@@ -155,6 +137,10 @@ class Budget:
         if self.max_memory_bytes is not None:
             parts.append(f"mem<={self.max_memory_bytes}B")
         return ", ".join(parts) if parts else "unlimited"
+
+
+#: The budget every engine and driver charges when given none.
+DEFAULT_BUDGET = Budget(max_states=2_000_000)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.checker import ConsensusChecker, ConsensusReport, Verdict
 from repro.layerings.st_synchronous import StSynchronousLayering
@@ -57,7 +57,7 @@ from repro.models.sync import SynchronousModel
 from repro.protocols.base import MessagePassingProtocol
 from repro.protocols.eig import EIG
 from repro.protocols.floodset import FloodSet
-from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
+from repro.resilience.budget import DEFAULT_BUDGET, Budget
 
 #: Sentinel decided by the ``forge-decision`` mutant — never an input.
 FORGED_VALUE = "forged-⊥"
@@ -372,7 +372,7 @@ def mutation_campaign(
     ] = None,
     n: int = 3,
     t: int = 1,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
     operators: Sequence[type[MutantProtocol]] = MUTATION_OPERATORS,
 ) -> list[MutantResult]:
     """Run every (subject, operator) pair through the exhaustive checker.
@@ -392,7 +392,7 @@ def mutation_campaign(
             # must reach the exploration rather than be refused upfront
             # by the contract preflight as ILL_FORMED.
             report = ConsensusChecker(
-                layering, max_states, preflight=False
+                layering, budget, preflight=False
             ).check_all(layering.model)
             killed = report.verdict in operator.expected
             witness_ok = killed and replay_witness(layering, report)

@@ -23,14 +23,14 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.cache import CacheSpec, resolve_cache
 from repro.core.checker import ConsensusChecker, Verdict
 from repro.core.run import Execution
 from repro.core.state import GlobalState
 from repro.core.valence import ExplorationLimitExceeded
-from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
+from repro.resilience.budget import DEFAULT_BUDGET, Budget
 from repro.tasks.problem import DecisionProblem
 from repro.tasks.simplex import Simplex
 
@@ -68,9 +68,8 @@ class TaskChecker:
     the state-level safety predicate differs (Δ-membership instead of
     agreement/value-validity).
 
-    ``max_states`` accepts a state count or a full
-    :class:`~repro.resilience.Budget`.  The task checker is always
-    *strict*: exhaustion raises
+    ``budget`` is the :class:`~repro.resilience.Budget` charged per
+    input facet.  Exhaustion raises
     :class:`~repro.core.valence.ExplorationLimitExceeded` (the
     solvability drivers interpret a SATISFIED report as a solvability
     claim, which a silently truncated search cannot support).
@@ -89,13 +88,13 @@ class TaskChecker:
         self,
         system,
         problem: DecisionProblem,
-        max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+        budget: Budget = DEFAULT_BUDGET,
         cache: CacheSpec = None,
         preflight: bool = True,
     ) -> None:
         self._system = resolve_cache(system, cache)
         self._problem = problem
-        self._budget = Budget.of(max_states)
+        self._budget = budget
         self._preflight = preflight
 
     def _preflight_gate(

@@ -45,11 +45,10 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Union
 
 from repro.core.state import GlobalState
 from repro.core.valence import ExplorationLimitExceeded
-from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
+from repro.resilience.budget import DEFAULT_BUDGET, Budget
 from repro.tasks.complex import Complex
 from repro.tasks.simplex import Simplex
 from repro.util.graphs import Graph, is_connected
@@ -105,20 +104,18 @@ class OutcomeResult:
 class OutcomeAnalyzer:
     """Memoized run-outcome sets over a layered system (module docstring).
 
-    ``max_states`` accepts a state count or a full
-    :class:`~repro.resilience.Budget` (states, edges, wall clock,
-    memory).  Outcome analysis is always *strict* — the covering
+    ``budget`` is a :class:`~repro.resilience.Budget` (states, edges,
+    wall clock, memory) shared across all queries.  The covering
     quantification acts on exact outcome sets, so a truncated set could
     flip always-valence-connectivity verdicts; budget exhaustion raises
     :class:`~repro.core.valence.ExplorationLimitExceeded`.
     """
 
     def __init__(
-        self, system, max_states: Union[int, Budget] = DEFAULT_MAX_STATES
+        self, system, budget: Budget = DEFAULT_BUDGET
     ) -> None:
         self._system = system
-        self._budget = Budget.of(max_states)
-        self._meter = self._budget.meter()
+        self._meter = budget.meter()
         self._memo: dict[GlobalState, OutcomeResult] = {}
 
     def outcome(self, state: GlobalState) -> OutcomeResult:
@@ -160,11 +157,18 @@ class OutcomeAnalyzer:
             children = []
             child_seen = set()
             for action, child in self._system.successors(state):
-                meter.charge_edge()
+                tripped = meter.charge_edge()
+                if tripped is not None:
+                    # Stop at the charge site, as ValenceAnalyzer does: a
+                    # high-degree expansion must not overshoot the edge
+                    # budget by a whole layer.
+                    break
                 actions.setdefault((state, child), []).append(action)
                 if child not in child_seen:
                     child_seen.add(child)
                     children.append(child)
+            if tripped is not None:
+                break
             succ[state] = tuple(children)
             tripped = meter.poll() if (len(succ) & 0xFF) == 0 else None
             for child in children:

@@ -24,7 +24,7 @@ when a solver protocol is registered — the checker's verdict per model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from repro.core.cache import CacheSpec
 from repro.core.checker import Verdict
@@ -34,7 +34,7 @@ from repro.layerings.synchronic_rw import SynchronicRWLayering
 from repro.models.async_mp import AsyncMessagePassingModel
 from repro.models.shared_memory import SharedMemoryModel
 from repro.protocols.base import DualProtocol
-from repro.resilience.budget import Budget, DEFAULT_MAX_STATES
+from repro.resilience.budget import DEFAULT_BUDGET, Budget
 from repro.tasks.checker import TaskChecker, TaskReport
 from repro.tasks.problem import DecisionProblem
 from repro.tasks.thick import problem_is_k_thick_connected
@@ -100,7 +100,7 @@ def one_resilient_layerings(
 def verify_protocol_solves(
     problem: DecisionProblem,
     protocol: DualProtocol,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
     models: Optional[dict] = None,
     cache: CacheSpec = True,
     preflight: bool = True,
@@ -116,7 +116,7 @@ def verify_protocol_solves(
     reports = {}
     for name, layering in systems.items():
         checker = TaskChecker(
-            layering, problem, max_states, cache=cache, preflight=preflight
+            layering, problem, budget, cache=cache, preflight=preflight
         )
         reports[name] = checker.check_all(layering.model)
     return reports
@@ -127,7 +127,7 @@ def corollary_7_3_row(
     solver: Optional[DualProtocol] = None,
     max_subproblems: int = 4096,
     max_input_set_size: Optional[int] = None,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
     cache: CacheSpec = True,
     preflight: bool = True,
 ) -> SolvabilityRow:
@@ -142,7 +142,7 @@ def corollary_7_3_row(
     if solver is not None:
         reports = dict(
             verify_protocol_solves(
-                problem, solver, max_states=max_states, cache=cache,
+                problem, solver, budget=budget, cache=cache,
                 preflight=preflight,
             )
         )
@@ -154,7 +154,7 @@ def corollary_7_3_row(
 def defeat_in_every_model(
     problem: DecisionProblem,
     candidate: DualProtocol,
-    max_states: Union[int, Budget] = DEFAULT_MAX_STATES,
+    budget: Budget = DEFAULT_BUDGET,
     cache: CacheSpec = True,
     preflight: bool = True,
 ) -> dict[str, TaskReport]:
@@ -162,7 +162,7 @@ def defeat_in_every_model(
     return the per-model defeat reports (none may be SATISFIED — that is
     what the callers assert, mirroring Theorem 7.2's contrapositive)."""
     reports = verify_protocol_solves(
-        problem, candidate, max_states, cache=cache, preflight=preflight
+        problem, candidate, budget, cache=cache, preflight=preflight
     )
     return reports
 

@@ -145,8 +145,9 @@ class TestResilienceExitCodes:
         assert "--max-states" in captured.err  # the suggested bump
 
     def test_strict_limit_paths_also_exit_2(self, capsys):
-        # The lemma drivers are strict: exhaustion raises and the top
-        # level converts it into the same inconclusive exit code.
+        # The valence analyzer behind the lemma drivers raises on
+        # exhaustion; the top level converts it into the same
+        # inconclusive exit code.
         assert main(["--max-states", "3", "lemmas"]) == 2
         captured = capsys.readouterr()
         assert "inconclusive" in captured.err

@@ -20,6 +20,7 @@ from repro.protocols.full_information import (
     decide_constant,
     decide_min_observed,
 )
+from repro.resilience.budget import Budget
 
 
 class TestStandardLayerings:
@@ -86,7 +87,7 @@ class TestRefuteCandidate:
     )
     def test_never_satisfied(self, protocol_factory):
         refutations = refute_candidate(
-            protocol_factory(), 3, max_states=600_000
+            protocol_factory(), 3, budget=Budget(max_states=600_000)
         )
         assert refutations
         for refutation in refutations:

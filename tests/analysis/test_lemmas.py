@@ -19,6 +19,7 @@ from repro.models.mobile import MobileModel
 from repro.models.shared_memory import SharedMemoryModel
 from repro.protocols.candidates import QuorumDecide
 from repro.protocols.floodset import FloodSet
+from repro.resilience.budget import Budget
 
 
 @pytest.fixture
@@ -54,7 +55,7 @@ class TestLemma31And32:
         from repro.protocols.candidates import WaitForAll
 
         layering = S1MobileLayering(MobileModel(WaitForAll(), 3))
-        analyzer = ValenceAnalyzer(layering, max_states=300_000)
+        analyzer = ValenceAnalyzer(layering, budget=Budget(max_states=300_000))
         initial = layering.model.initial_state((0, 1, 1))
         for state in reachable_states(layering, [initial], max_depth=2):
             assert lemma_3_2(layering, analyzer, state).holds
@@ -159,7 +160,7 @@ class TestLemma53:
         layering = SynchronicMPLayering(
             AsyncMessagePassingModel(QuorumDecide(2), 3)
         )
-        analyzer = ValenceAnalyzer(layering, max_states=500_000)
+        analyzer = ValenceAnalyzer(layering, budget=Budget(max_states=500_000))
         state = layering.model.initial_state((0, 1, 1))
         report = lemma_5_3(
             layering,

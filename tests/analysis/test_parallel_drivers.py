@@ -77,7 +77,9 @@ class TestDriverParity:
             assert par.report.states_explored == seq.report.states_explored
 
     def test_solvability_matrix(self):
-        kwargs = dict(tasks=["identity", "constant"], max_states=50_000)
+        kwargs = dict(
+            tasks=["identity", "constant"], budget=Budget(max_states=50_000)
+        )
         sequential = solvability_matrix(**kwargs)
         parallel = solvability_matrix(workers=2, **kwargs)
         assert list(parallel) == list(sequential)
@@ -161,7 +163,7 @@ class TestQuarantineDispatch:
             reachable_states_parallel(
                 st_floodset_tight,
                 roots,
-                max_states=Budget(max_states=2),
+                budget=Budget(max_states=2),
                 workers=2,
                 pool=self.POOL,
             )

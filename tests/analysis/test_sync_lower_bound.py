@@ -15,6 +15,7 @@ from repro.core.checker import Verdict
 from repro.core.valence import ValenceAnalyzer
 from repro.protocols.eig import EIG
 from repro.protocols.floodset import FloodSet
+from repro.resilience.budget import Budget
 
 
 class TestCorollary63:
@@ -32,14 +33,16 @@ class TestCorollary63:
             assert row.report.satisfied, row.protocol_name
 
     def test_all_fast_candidates_defeated_n4_t2(self):
-        rows = defeat_fast_candidates(4, 2, max_states=2_000_000)
+        rows = defeat_fast_candidates(
+            4, 2, budget=Budget(max_states=2_000_000)
+        )
         assert len(rows) == 4  # rounds 1 and 2, two protocols
         for row in rows:
             assert row.defeated, (row.protocol_name, row.rounds)
 
     def test_tight_verified_n4_t2(self):
         rows = verify_tight_protocols(
-            4, 2, max_states=2_000_000, include_full_model=False
+            4, 2, budget=Budget(max_states=2_000_000), include_full_model=False
         )
         for row in rows:
             assert row.report.satisfied, row.protocol_name
@@ -49,7 +52,7 @@ class TestCorollary63:
         collapses: with both failures spent only one nonfaulty process
         remains and agreement is vacuous, so the 2-round protocols
         SURVIVE the S^t adversary."""
-        rows = defeat_fast_candidates(3, 2, max_states=500_000)
+        rows = defeat_fast_candidates(3, 2, budget=Budget(max_states=500_000))
         two_round = [r for r in rows if r.rounds == 2]
         assert two_round
         assert all(r.report.satisfied for r in two_round)

@@ -9,6 +9,7 @@ from repro.core.bivalence import (
     build_bivalent_lasso,
 )
 from repro.core.valence import ValenceAnalyzer
+from repro.resilience.budget import Budget
 from tests.conftest import ToySystem
 
 
@@ -98,7 +99,7 @@ class TestBuildLasso:
         from repro.core.connectivity import lemma_3_6
 
         layering = quorum_permutation
-        an = ValenceAnalyzer(layering, max_states=300_000)
+        an = ValenceAnalyzer(layering, budget=Budget(max_states=300_000))
         start = lemma_3_6(
             layering.model.initial_states((0, 1)), layering, an
         )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.checker import ConsensusChecker, Verdict
 from repro.core.state import GlobalState
+from repro.resilience.budget import Budget
 from tests.conftest import ToySystem
 
 
@@ -120,9 +121,9 @@ class TestWitnessReplay:
         layering = PermutationLayering(
             AsyncMessagePassingModel(WaitForAll(), 3)
         )
-        report = ConsensusChecker(layering, max_states=300_000).check_all(
-            layering.model
-        )
+        report = ConsensusChecker(
+            layering, budget=Budget(max_states=300_000)
+        ).check_all(layering.model)
         assert report.verdict is Verdict.DECISION
         witness = report.run_witness()
         # Replay prefix + two cycle turns through the layering.

@@ -38,7 +38,9 @@ class TestReachableStates:
     def test_limit(self, chain_system):
         sys = chain_system
         with pytest.raises(ExplorationLimitExceeded):
-            reachable_states(sys, [sys.state("s0")], max_states=2)
+            reachable_states(
+                sys, [sys.state("s0")], budget=Budget(max_states=2)
+            )
 
 
 class TestExplore:
@@ -111,25 +113,15 @@ class TestEdgeAccounting:
         stats = explore(sys, roots)
         # The identical walk fits a budget of exactly stats.edges ...
         depths = reachable_states(
-            sys, roots, max_states=Budget(max_edges=stats.edges)
+            sys, roots, budget=Budget(max_edges=stats.edges)
         )
         assert len(depths) == stats.states
         # ... and trips one edge below it, in both engines.
         short = Budget(max_edges=stats.edges - 1)
         with pytest.raises(ExplorationLimitExceeded):
-            reachable_states(sys, roots, max_states=short)
-        clipped = explore(sys, roots, max_states=short)
+            reachable_states(sys, roots, budget=short)
+        clipped = explore(sys, roots, budget=short)
         assert not clipped.complete and clipped.limit == "edges"
-
-    def test_reachable_states_edge_trip_nonstrict_partial(self):
-        sys = self._fanin()
-        depths = reachable_states(
-            sys,
-            [sys.state("x")],
-            max_states=Budget(max_edges=1),
-            strict=False,
-        )
-        assert sys.state("x") in depths  # partial map, not an exception
 
 
 class TestRootFrontierBudget:
@@ -146,36 +138,15 @@ class TestRootFrontierBudget:
             reachable_states(
                 chain_system,
                 self._roots(chain_system),
-                max_states=Budget(max_states=3),
+                budget=Budget(max_states=3),
             )
-
-    def test_reachable_states_nonstrict_returns_partial_roots(
-        self, chain_system
-    ):
-        depths = reachable_states(
-            chain_system,
-            self._roots(chain_system),
-            max_states=Budget(max_states=3),
-            strict=False,
-        )
-        # The trip fires on the charge that exceeds the budget; nothing
-        # beyond the root frontier is explored.
-        assert len(depths) == 4
-        assert all(d == 0 for d in depths.values())
 
     def test_explore_root_frontier_trips(self, chain_system):
         roots = self._roots(chain_system)
         stats = explore(
-            chain_system, roots, max_states=Budget(max_states=3)
+            chain_system, roots, budget=Budget(max_states=3)
         )
         assert not stats.complete
         assert stats.limit == "states"
         assert stats.states == 4
         assert stats.edges == 0  # stopped before expanding anything
-        with pytest.raises(ExplorationLimitExceeded):
-            explore(
-                chain_system,
-                roots,
-                max_states=Budget(max_states=3),
-                strict=True,
-            )

@@ -19,6 +19,7 @@ from repro.core.checker import ConsensusChecker, Verdict
 from repro.layerings.st_synchronous import StSynchronousLayering
 from repro.models.sync import SynchronousModel
 from repro.protocols.floodset import FloodSet
+from repro.resilience.budget import Budget
 from repro.resilience.pool import FAULT_CRASH, PoolConfig
 
 
@@ -89,10 +90,10 @@ class TestParallelEqualsSequential:
         """A budget that trips mid-sweep must produce the same UNKNOWN —
         same detail, same resumable cursor — in both engines."""
         sequential = ConsensusChecker(
-            st_floodset_tight, max_states=10
+            st_floodset_tight, budget=Budget(max_states=10)
         ).check_all(st_floodset_tight.model)
         parallel = ConsensusChecker(
-            st_floodset_tight, max_states=10
+            st_floodset_tight, budget=Budget(max_states=10)
         ).check_all(st_floodset_tight.model, workers=3)
         assert sequential.inconclusive
         assert parallel.verdict is Verdict.UNKNOWN
@@ -116,7 +117,7 @@ class TestParallelEqualsSequential:
             st_floodset_tight.model
         )
         stopped = ConsensusChecker(
-            st_floodset_tight, max_states=10
+            st_floodset_tight, budget=Budget(max_states=10)
         ).check_all(st_floodset_tight.model, workers=2)
         assert stopped.inconclusive
         resumed = ConsensusChecker(st_floodset_tight).check_all(

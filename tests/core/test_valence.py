@@ -132,31 +132,13 @@ class TestFailedProcesses:
 
 class TestLimits:
     def test_exploration_limit_strict(self):
-        # A long chain exceeding a tiny budget: strict mode raises.
+        # A long chain exceeding a tiny budget: the analyzer raises.
         edges = {f"s{i}": [("n", f"s{i+1}")] for i in range(100)}
         edges["s100"] = [("s", "s100")]
         sys = ToySystem(edges=edges, decisions={"s100": {0: 0, 1: 0}})
-        an = ValenceAnalyzer(sys, max_states=10, strict=True)
+        an = ValenceAnalyzer(sys, budget=Budget(max_states=10))
         with pytest.raises(ExplorationLimitExceeded):
             an.valence(sys.state("s0"))
-
-    def test_exploration_limit_graceful(self):
-        # By default the same exhaustion degrades to an incomplete
-        # lower-bound result that is not memoized.
-        edges = {f"s{i}": [("n", f"s{i+1}")] for i in range(100)}
-        edges["s100"] = [("s", "s100")]
-        sys = ToySystem(edges=edges, decisions={"s100": {0: 0, 1: 0}})
-        an = ValenceAnalyzer(sys, max_states=10)
-        result = an.valence(sys.state("s0"))
-        assert not result.complete
-        assert not result.univalent  # incompleteness blocks univalence
-        assert result.values == frozenset()  # decision not yet reached
-
-    def test_incomplete_bivalence_is_sound(self, toy_diamond):
-        # Values already observed certify bivalence even when the budget
-        # trips (lower-bound semantics).
-        full = ValenceAnalyzer(toy_diamond).valence(toy_diamond.state("x"))
-        assert full.complete and full.bivalent
 
     def test_cross_query_reuse(self, toy_diamond):
         an = ValenceAnalyzer(toy_diamond)
@@ -184,22 +166,12 @@ class TestEdgeBudget:
 
     def test_strict_raises_within_one_expansion(self):
         sys = self._wide_system()
-        an = ValenceAnalyzer(
-            sys, max_states=Budget(max_edges=10), strict=True
-        )
+        an = ValenceAnalyzer(sys, budget=Budget(max_edges=10))
         with pytest.raises(ExplorationLimitExceeded, match="edges"):
             an.valence(sys.state("x"))
 
-    def test_graceful_incomplete_within_one_expansion(self):
-        sys = self._wide_system()
-        an = ValenceAnalyzer(sys, max_states=Budget(max_edges=10))
-        result = an.valence(sys.state("x"))
-        assert not result.complete
-
     def test_roomy_edge_budget_unaffected(self):
         sys = self._wide_system()
-        an = ValenceAnalyzer(
-            sys, max_states=Budget(max_edges=10_000), strict=True
-        )
+        an = ValenceAnalyzer(sys, budget=Budget(max_edges=10_000))
         result = an.valence(sys.state("x"))
-        assert result.complete and result.values == frozenset({0})
+        assert result.values == frozenset({0})

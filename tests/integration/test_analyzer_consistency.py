@@ -21,6 +21,7 @@ from repro.models.async_mp import AsyncMessagePassingModel
 from repro.models.mobile import MobileModel
 from repro.models.shared_memory import SharedMemoryModel
 from repro.protocols.candidates import QuorumDecide, WaitForAll
+from repro.resilience.budget import Budget
 from repro.tasks.complex import Complex
 from repro.tasks.covering import Covering, OutcomeAnalyzer
 from repro.tasks.simplex import Simplex
@@ -41,8 +42,8 @@ def systems():
 @pytest.mark.parametrize("name", sorted(systems()))
 def test_values_match_outcome_values(name):
     layering = systems()[name]
-    valence = ValenceAnalyzer(layering, 600_000)
-    outcome = OutcomeAnalyzer(layering, 600_000)
+    valence = ValenceAnalyzer(layering, Budget(max_states=600_000))
+    outcome = OutcomeAnalyzer(layering, Budget(max_states=600_000))
     for inputs in [(0, 1, 1), (0, 0, 0), (1, 0, 1)]:
         state = layering.model.initial_state(inputs)
         v = valence.valence(state)
@@ -62,8 +63,8 @@ def test_values_match_outcome_values(name):
 @pytest.mark.parametrize("name", sorted(systems()))
 def test_value_bivalence_matches_value_split_covering(name):
     layering = systems()[name]
-    valence = ValenceAnalyzer(layering, 600_000)
-    outcome = OutcomeAnalyzer(layering, 600_000)
+    valence = ValenceAnalyzer(layering, Budget(max_states=600_000))
+    outcome = OutcomeAnalyzer(layering, Budget(max_states=600_000))
     state = layering.model.initial_state((0, 1, 1))
     o = outcome.outcome(state)
     side0 = [d for d in o.outcomes if 0 in d.values()]
@@ -79,8 +80,8 @@ def test_waitforall_divergence_agrees():
     layering = PermutationLayering(
         AsyncMessagePassingModel(WaitForAll(), 3)
     )
-    valence = ValenceAnalyzer(layering, 600_000)
-    outcome = OutcomeAnalyzer(layering, 600_000)
+    valence = ValenceAnalyzer(layering, Budget(max_states=600_000))
+    outcome = OutcomeAnalyzer(layering, Budget(max_states=600_000))
     state = layering.model.initial_state((0, 1, 1))
     assert valence.valence(state).diverges
     assert outcome.outcome(state).diverges
@@ -97,7 +98,7 @@ def test_settled_starvation_outcomes_are_not_divergence():
     layering = PermutationLayering(
         AsyncMessagePassingModel(EpsilonAgreementProtocol(), 3)
     )
-    outcome = OutcomeAnalyzer(layering, 800_000)
+    outcome = OutcomeAnalyzer(layering, Budget(max_states=800_000))
     state = layering.model.initial_state((0, 1, 1))
     o = outcome.outcome(state)
     assert not o.diverges

@@ -23,6 +23,7 @@ from repro.models.mobile import MobileModel
 from repro.models.sync import SynchronousModel
 from repro.protocols.candidates import QuorumDecide, WaitForAll
 from repro.protocols.floodset import FloodSet
+from repro.resilience.budget import Budget
 from repro.tasks.catalog import binary_consensus
 from repro.tasks.checker import TaskChecker
 
@@ -48,11 +49,11 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_verdicts_correspond(name):
     layering = CASES[name]()
-    consensus_report = ConsensusChecker(layering, 600_000).check_all(
-        layering.model
-    )
+    consensus_report = ConsensusChecker(
+        layering, Budget(max_states=600_000)
+    ).check_all(layering.model)
     task_report = TaskChecker(
-        layering, binary_consensus(3), 600_000
+        layering, binary_consensus(3), Budget(max_states=600_000)
     ).check_all(layering.model)
 
     if consensus_report.satisfied:

@@ -23,6 +23,7 @@ from repro.protocols.full_information import (
     decide_min_observed,
     decide_own_input,
 )
+from repro.resilience.budget import Budget
 
 EXPECTED_DEFEAT = {
     "quorum": Verdict.AGREEMENT,
@@ -51,7 +52,9 @@ def make_candidate(key):
 
 @pytest.mark.parametrize("key", sorted(EXPECTED_DEFEAT))
 def test_candidate_defeated_everywhere_with_expected_kind(key):
-    refutations = refute_candidate(make_candidate(key), 3, max_states=600_000)
+    refutations = refute_candidate(
+        make_candidate(key), 3, budget=Budget(max_states=600_000)
+    )
     assert len(refutations) >= 3
     for refutation in refutations:
         assert refutation.verdict is not Verdict.SATISFIED
@@ -69,7 +72,7 @@ def test_every_layer_on_bivalent_path_is_valence_connected(model_name):
     """The load-bearing connectivity claim, along an actual bivalent walk."""
     protocol = QuorumDecide(2)
     layering = standard_layerings(protocol, 3)[model_name]
-    analyzer = ValenceAnalyzer(layering, max_states=600_000)
+    analyzer = ValenceAnalyzer(layering, budget=Budget(max_states=600_000))
     state = lemma_3_6(
         layering.model.initial_states((0, 1)), layering, analyzer
     )
@@ -85,7 +88,9 @@ def test_every_layer_on_bivalent_path_is_valence_connected(model_name):
 
 
 def test_schedules_replay_to_their_violations():
-    for refutation in refute_candidate(QuorumDecide(2), 3, max_states=600_000):
+    for refutation in refute_candidate(
+        QuorumDecide(2), 3, budget=Budget(max_states=600_000)
+    ):
         report = refutation.report
         layering = standard_layerings(QuorumDecide(2), 3)[
             refutation.model_name

@@ -19,6 +19,7 @@ from repro.analysis.sync_lower_bound import (
 from repro.core.checker import ConsensusChecker, Verdict
 from repro.core.valence import ValenceAnalyzer
 from repro.protocols.floodset import FloodSet
+from repro.resilience.budget import Budget
 
 
 class TestCrossover:
@@ -29,10 +30,12 @@ class TestCrossover:
         assert all(row.report.satisfied for row in verified)
 
     def test_n4_t1_crossover(self):
-        defeated = defeat_fast_candidates(4, 1, max_states=800_000)
+        defeated = defeat_fast_candidates(
+            4, 1, budget=Budget(max_states=800_000)
+        )
         assert all(row.defeated for row in defeated)
         rows = verify_tight_protocols(
-            4, 1, max_states=800_000, include_full_model=False
+            4, 1, budget=Budget(max_states=800_000), include_full_model=False
         )
         assert all(row.report.satisfied for row in rows)
 
@@ -51,7 +54,7 @@ class TestBivalenceHorizon:
     @pytest.mark.parametrize("t", [1, 2])
     def test_bivalent_through_round_t_minus_1(self, t):
         layering = make_st_system(FloodSet(t + 1), 3, t)
-        analyzer = ValenceAnalyzer(layering, max_states=800_000)
+        analyzer = ValenceAnalyzer(layering, budget=Budget(max_states=800_000))
         start = synchronous_bivalent_start(layering, analyzer)
         report, execution = lemma_6_1(layering, analyzer, start)
         assert report.holds

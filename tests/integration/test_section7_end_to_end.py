@@ -10,6 +10,7 @@ from repro.analysis.solvability_experiments import (
 from repro.layerings.permutation import PermutationLayering
 from repro.models.async_mp import AsyncMessagePassingModel
 from repro.protocols.candidates import QuorumDecide
+from repro.resilience.budget import Budget
 from repro.tasks.catalog import EXPECTED_SOLVABLE
 from repro.tasks.complex import Complex
 from repro.tasks.covering import Covering, OutcomeAnalyzer
@@ -23,7 +24,7 @@ class TestSolvabilityMatrix:
     @pytest.fixture(scope="class")
     def matrix(self):
         return solvability_matrix(
-            n=3, tasks=FAST_TASKS, max_states=600_000
+            n=3, tasks=FAST_TASKS, budget=Budget(max_states=600_000)
         )
 
     def test_every_row_matches_expectation(self, matrix):
@@ -53,7 +54,7 @@ class TestSolvabilityMatrix:
 class TestSolvabilityMatrixSlowTasks:
     def test_epsilon_agreement_row(self):
         matrix = solvability_matrix(
-            n=3, tasks=["epsilon-agreement"], max_states=800_000
+            n=3, tasks=["epsilon-agreement"], budget=Budget(max_states=800_000)
         )
         entry = matrix["epsilon-agreement"]
         assert entry.matches_expectation
@@ -80,9 +81,9 @@ class TestSolvabilityMatrixSlowTasks:
                 AsyncMessagePassingModel(KSetAgreementProtocol(2), 3)
             ),
         ):
-            report = TaskChecker(layering, task, 1_500_000).check_all(
-                layering.model
-            )
+            report = TaskChecker(
+                layering, task, Budget(max_states=1_500_000)
+            ).check_all(layering.model)
             assert report.satisfied, report.detail
 
 
@@ -91,7 +92,7 @@ class TestLemma71:
         model = AsyncMessagePassingModel(QuorumDecide(2), 3)
         layering = PermutationLayering(model)
         initials = model.initial_states((0, 1))
-        analyzer = OutcomeAnalyzer(layering, max_states=400_000)
+        analyzer = OutcomeAnalyzer(layering, budget=Budget(max_states=400_000))
         # Build a genuine covering of the runs from Con_0: QuorumDecide
         # violates agreement, so mixed-decision outcomes exist and the
         # two sides must be carved from the actual outcome set — side 0
@@ -105,7 +106,11 @@ class TestLemma71:
         covering = Covering(Complex(side0), Complex(side1))
         assert covering.covers(sorted(outcomes, key=repr))
         states = lemma_7_1_run(
-            layering, covering, initials, length=3, max_states=400_000
+            layering,
+            covering,
+            initials,
+            length=3,
+            budget=Budget(max_states=400_000),
         )
         assert len(states) == 4
         for state in states:
@@ -124,5 +129,5 @@ class TestLemma71:
                 bogus,
                 model.initial_states((0, 1)),
                 length=1,
-                max_states=400_000,
+                budget=Budget(max_states=400_000),
             )

@@ -18,6 +18,7 @@ from repro.models.async_mp import AsyncMessagePassingModel
 from repro.models.mobile import MobileModel
 from repro.models.shared_memory import SharedMemoryModel
 from repro.protocols.candidates import QuorumDecide, WaitForAll
+from repro.resilience.budget import Budget
 
 
 class TestWaitFreeN2:
@@ -27,7 +28,7 @@ class TestWaitFreeN2:
         # quorum=1 means "decide on your own input immediately": the
         # degenerate wait-free attempt, defeated by agreement.
         for refutation in refute_candidate(
-            QuorumDecide(1), 2, max_states=300_000
+            QuorumDecide(1), 2, budget=Budget(max_states=300_000)
         ):
             assert refutation.verdict is Verdict.AGREEMENT, (
                 refutation.model_name
@@ -36,12 +37,14 @@ class TestWaitFreeN2:
     def test_waitforall_starved(self):
         model = AsyncMessagePassingModel(WaitForAll(), 2)
         layering = PermutationLayering(model)
-        report = ConsensusChecker(layering, 300_000).check_all(model)
+        report = ConsensusChecker(
+            layering, Budget(max_states=300_000)
+        ).check_all(model)
         assert report.verdict is Verdict.DECISION
 
     def test_bivalent_initial_exists(self):
         layering = S1MobileLayering(MobileModel(QuorumDecide(1), 2))
-        analyzer = ValenceAnalyzer(layering, 300_000)
+        analyzer = ValenceAnalyzer(layering, Budget(max_states=300_000))
         bivalent = lemma_3_6(
             layering.model.initial_states((0, 1)), layering, analyzer
         )
@@ -52,23 +55,23 @@ class TestWaitFreeN2:
 class TestSweepN4:
     def test_mobile_defeat(self):
         layering = S1MobileLayering(MobileModel(QuorumDecide(3), 4))
-        report = ConsensusChecker(layering, 1_500_000).check_all(
-            layering.model
-        )
+        report = ConsensusChecker(
+            layering, Budget(max_states=1_500_000)
+        ).check_all(layering.model)
         assert report.verdict is Verdict.AGREEMENT
 
     def test_synchronic_rw_defeat(self):
         layering = SynchronicRWLayering(
             SharedMemoryModel(QuorumDecide(3), 4)
         )
-        report = ConsensusChecker(layering, 1_500_000).check_all(
-            layering.model
-        )
+        report = ConsensusChecker(
+            layering, Budget(max_states=1_500_000)
+        ).check_all(layering.model)
         assert report.verdict is Verdict.AGREEMENT
 
     def test_lemma_3_6_n4(self):
         layering = S1MobileLayering(MobileModel(QuorumDecide(3), 4))
-        analyzer = ValenceAnalyzer(layering, 1_500_000)
+        analyzer = ValenceAnalyzer(layering, Budget(max_states=1_500_000))
         bivalent = lemma_3_6(
             layering.model.initial_states((0, 1)), layering, analyzer
         )

@@ -18,6 +18,7 @@ from repro.models.shared_memory import SharedMemoryModel
 from repro.models.snapshot import SnapshotMemoryModel
 from repro.protocols.candidates import QuorumDecide, WaitForAll
 from repro.protocols.full_information import FullInformationProtocol
+from repro.resilience.budget import Budget
 from repro.util.orderings import ordered_partitions
 
 
@@ -105,13 +106,17 @@ class TestImpossibility:
     def test_quorum_defeated(self):
         model = SnapshotMemoryModel(QuorumDecide(2), 3)
         layering = IteratedSnapshotLayering(model)
-        report = ConsensusChecker(layering, 400_000).check_all(model)
+        report = ConsensusChecker(
+            layering, Budget(max_states=400_000)
+        ).check_all(model)
         assert report.verdict is Verdict.AGREEMENT
 
     def test_waitforall_starved(self):
         model = SnapshotMemoryModel(WaitForAll(), 3)
         layering = IteratedSnapshotLayering(model)
-        report = ConsensusChecker(layering, 400_000).check_all(model)
+        report = ConsensusChecker(
+            layering, Budget(max_states=400_000)
+        ).check_all(model)
         assert report.verdict is Verdict.DECISION
         cycle_kinds = {a[0] for a in report.cycle.actions}
         assert cycle_kinds <= {"short-blocks", "blocks"}
@@ -119,7 +124,7 @@ class TestImpossibility:
     def test_layer_valence_connected(self):
         model = SnapshotMemoryModel(QuorumDecide(2), 3)
         layering = IteratedSnapshotLayering(model)
-        analyzer = ValenceAnalyzer(layering, 400_000)
+        analyzer = ValenceAnalyzer(layering, Budget(max_states=400_000))
         state = model.initial_state((0, 1, 1))
         from repro.core.connectivity import is_valence_connected
 

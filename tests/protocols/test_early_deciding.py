@@ -6,6 +6,7 @@ from repro.analysis.sync_lower_bound import make_st_system
 from repro.core.checker import ConsensusChecker
 from repro.models.sync import NO_FAILURE, SynchronousModel, fail_action
 from repro.protocols.early_deciding import EarlyDecidingFloodSet
+from repro.resilience.budget import Budget
 
 
 @pytest.fixture
@@ -55,14 +56,16 @@ class TestExhaustive:
     @pytest.mark.parametrize("n,t", [(3, 1), (4, 1), (4, 2)])
     def test_satisfies_consensus_under_st(self, n, t):
         layering = make_st_system(EarlyDecidingFloodSet(t), n, t)
-        report = ConsensusChecker(layering, 2_000_000).check_all(
-            layering.model
-        )
+        report = ConsensusChecker(
+            layering, Budget(max_states=2_000_000)
+        ).check_all(layering.model)
         assert report.satisfied, report.detail
 
     def test_satisfies_consensus_full_model(self):
         model = SynchronousModel(EarlyDecidingFloodSet(1), 3, 1)
-        report = ConsensusChecker(model, 2_000_000).check_all(model)
+        report = ConsensusChecker(
+            model, Budget(max_states=2_000_000)
+        ).check_all(model)
         assert report.satisfied
 
     def test_beats_t_plus_1_on_clean_runs(self):

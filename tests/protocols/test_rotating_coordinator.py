@@ -3,6 +3,7 @@
 import pytest
 
 from repro.protocols.candidates import CoordinatorState, RotatingCoordinator
+from repro.resilience.budget import Budget
 
 
 @pytest.fixture
@@ -70,7 +71,7 @@ class TestDefeat:
         from repro.core.checker import Verdict
 
         for refutation in refute_candidate(
-            RotatingCoordinator(3), 3, max_states=900_000
+            RotatingCoordinator(3), 3, budget=Budget(max_states=900_000)
         ):
             assert refutation.verdict is Verdict.AGREEMENT, (
                 refutation.model_name

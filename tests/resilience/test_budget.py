@@ -1,12 +1,28 @@
 """Unit tests for budgets, meters and graceful checker degradation."""
 
+import inspect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis import (
+    impossibility,
+    solvability_experiments,
+    statistics,
+    sync_lower_bound,
+    sync_tasks,
+)
 from repro.core.checker import ConsensusChecker, Verdict
-from repro.core.valence import ExplorationLimitExceeded
+from repro.core.exploration import (
+    explore,
+    reachable_states,
+    reachable_states_parallel,
+)
+from repro.core.valence import ValenceAnalyzer
+from repro.resilience import mutation
 from repro.resilience.budget import (
+    DEFAULT_BUDGET,
     Budget,
     BudgetStats,
     LIMIT_EDGES,
@@ -15,22 +31,13 @@ from repro.resilience.budget import (
     LIMIT_TIME,
     merge_stats,
 )
+from repro.tasks import solvability
+from repro.tasks.checker import TaskChecker
+from repro.tasks.covering import OutcomeAnalyzer
 from tests.conftest import ToySystem
 
 
 class TestBudgetOf:
-    def test_int_coerces(self):
-        b = Budget.of(100)
-        assert b.max_states == 100 and b.max_seconds is None
-
-    def test_budget_passes_through(self):
-        b = Budget(max_states=5, max_edges=7)
-        assert Budget.of(b) is b
-
-    def test_none_uses_default(self):
-        assert Budget.of(None, default=42).max_states == 42
-        assert Budget.of(None).max_states is None
-
     def test_unlimited(self):
         b = Budget.unlimited()
         assert b.describe() == "unlimited"
@@ -42,33 +49,10 @@ class TestBudgetOf:
         text = Budget(max_states=10, max_seconds=2.0).describe()
         assert "states<=10" in text and "time<=2s" in text
 
-    @pytest.mark.parametrize(
-        "limit, expected_max_states",
-        [
-            (0, 0),
-            (-1, -1),
-            (7.9, 7),
-            (7.0, 7),
-            (True, 1),
-        ],
-        ids=["zero", "negative", "float-truncates", "float-exact", "bool"],
-    )
-    def test_coercion_edge_cases(self, limit, expected_max_states):
-        assert Budget.of(limit).max_states == expected_max_states
-
     @pytest.mark.parametrize("limit", [0, -1], ids=["zero", "negative"])
     def test_zero_and_negative_trip_immediately(self, limit):
-        meter = Budget.of(limit).meter()
+        meter = Budget(max_states=limit).meter()
         assert meter.charge_state() == LIMIT_STATES
-
-    def test_budget_passthrough_ignores_default(self):
-        b = Budget(max_states=5)
-        assert Budget.of(b, default=1_000_000) is b
-
-    def test_none_with_none_default_is_unlimited(self):
-        meter = Budget.of(None).meter()
-        for _ in range(10_000):
-            assert meter.charge_state() is None
 
 
 class TestBudgetSplit:
@@ -228,7 +212,7 @@ def _long_chain(length=50, decide_at_end=True):
 class TestGracefulChecker:
     def test_budget_trip_returns_unknown_with_stats(self):
         sys_ = _long_chain()
-        checker = ConsensusChecker(sys_, max_states=10)
+        checker = ConsensusChecker(sys_, budget=Budget(max_states=10))
         report = checker.check(sys_.state("s0"), inputs=(0, 0))
         assert report.verdict is Verdict.UNKNOWN
         assert report.inconclusive and not report.refuted
@@ -237,12 +221,6 @@ class TestGracefulChecker:
         assert report.budget_stats.limit == LIMIT_STATES
         assert report.budget_stats.frontier > 0
         assert report.checkpoint is not None
-
-    def test_strict_restores_the_exception(self):
-        sys_ = _long_chain()
-        checker = ConsensusChecker(sys_, max_states=10, strict=True)
-        with pytest.raises(ExplorationLimitExceeded):
-            checker.check(sys_.state("s0"), inputs=(0, 0))
 
     def test_violation_before_trip_is_still_definitive(self):
         # A violating state within the first few steps must be reported
@@ -254,7 +232,7 @@ class TestGracefulChecker:
             },
             decisions={"bad": {0: 0, 1: 1}},
         )
-        report = ConsensusChecker(sys_, max_states=2).check(
+        report = ConsensusChecker(sys_, budget=Budget(max_states=2)).check(
             sys_.state("x"), inputs=(0, 1)
         )
         assert report.verdict is Verdict.AGREEMENT
@@ -264,7 +242,7 @@ class TestGracefulChecker:
         # Budget smaller than the space: the checker must not claim
         # SATISFIED for the part it saw.
         sys_ = _long_chain()
-        report = ConsensusChecker(sys_, max_states=5).check(
+        report = ConsensusChecker(sys_, budget=Budget(max_states=5)).check(
             sys_.state("s0"), inputs=(0, 0)
         )
         assert not report.satisfied and report.verdict is Verdict.UNKNOWN
@@ -307,11 +285,48 @@ class TestKeyboardInterrupt:
         assert report.budget_stats.limit == LIMIT_INTERRUPTED
         assert report.checkpoint is not None
 
-    def test_interrupt_strict_reraises(self):
-        sys_ = _InterruptingSystem(
-            edges={"x": [("s", "x")]}, interrupt_after=1
-        )
-        with pytest.raises(KeyboardInterrupt):
-            ConsensusChecker(sys_, strict=True).check(
-                sys_.state("x"), inputs=(0, 0)
-            )
+
+#: Every public engine and driver that explores a state space.
+ENTRY_POINTS = [
+    ConsensusChecker,
+    ValenceAnalyzer,
+    explore,
+    reachable_states,
+    reachable_states_parallel,
+    TaskChecker,
+    OutcomeAnalyzer,
+    solvability.verify_protocol_solves,
+    solvability.corollary_7_3_row,
+    solvability.defeat_in_every_model,
+    impossibility.refute_candidate,
+    impossibility.forever_bivalent_run,
+    impossibility.corollary_5_2,
+    impossibility.corollary_5_4,
+    impossibility.permutation_impossibility,
+    sync_lower_bound.defeat_fast_candidates,
+    sync_lower_bound.verify_tight_protocols,
+    sync_lower_bound.lemma_6_4,
+    sync_tasks.check_solves_in_rounds,
+    statistics.submodel_size,
+    solvability_experiments.solvability_matrix,
+    solvability_experiments.lemma_7_1_run,
+    solvability_experiments.diameter_table,
+    mutation.mutation_campaign,
+]
+
+
+class TestOneBudgetType:
+    """Every entry point takes one ``budget: Budget = DEFAULT_BUDGET``
+    parameter: no ``max_states`` integer alias, no ``strict`` switch."""
+
+    @pytest.mark.parametrize(
+        "entry", ENTRY_POINTS, ids=lambda entry: entry.__qualname__
+    )
+    def test_signature(self, entry):
+        params = inspect.signature(entry).parameters
+        assert "max_states" not in params
+        assert "strict" not in params
+        budget = params["budget"]
+        assert budget.annotation in (Budget, "Budget")
+        assert budget.default is DEFAULT_BUDGET
+

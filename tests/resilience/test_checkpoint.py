@@ -10,6 +10,7 @@ included.
 import pytest
 
 from repro.core.checker import ConsensusChecker
+from repro.resilience.budget import Budget
 from repro.resilience.checkpoint import (
     CampaignCheckpoint,
     CheckAllCheckpoint,
@@ -28,9 +29,8 @@ def _resume_to_verdict(system, per_hop_budget):
     """Run check_all under a tiny budget, resuming until conclusive."""
     checkpoint = None
     for _ in range(MAX_HOPS):
-        report = ConsensusChecker(system, per_hop_budget).check_all(
-            system.model, checkpoint=checkpoint
-        )
+        checker = ConsensusChecker(system, Budget(max_states=per_hop_budget))
+        report = checker.check_all(system.model, checkpoint=checkpoint)
         if not report.inconclusive:
             return report
         checkpoint = report.checkpoint
@@ -82,9 +82,9 @@ class TestResumeEqualsUninterrupted:
 
 class TestDiskRoundTrip:
     def test_save_load_resume(self, st_floodset_tight, tmp_path):
-        report = ConsensusChecker(st_floodset_tight, max_states=5).check_all(
-            st_floodset_tight.model
-        )
+        report = ConsensusChecker(
+            st_floodset_tight, budget=Budget(max_states=5)
+        ).check_all(st_floodset_tight.model)
         assert report.inconclusive
         path = tmp_path / "sweep.ckpt"
         journal = CampaignJournal.create(path)
@@ -116,9 +116,9 @@ class TestFingerprintGuard:
     def test_wrong_system_rejected(
         self, st_floodset_tight, st_floodset_fast
     ):
-        report = ConsensusChecker(st_floodset_tight, max_states=5).check_all(
-            st_floodset_tight.model
-        )
+        report = ConsensusChecker(
+            st_floodset_tight, budget=Budget(max_states=5)
+        ).check_all(st_floodset_tight.model)
         assert report.inconclusive
         with pytest.raises(CheckpointMismatch):
             ConsensusChecker(st_floodset_fast).check_all(

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core.valence import ExplorationLimitExceeded
 from repro.layerings.permutation import PermutationLayering
 from repro.models.async_mp import AsyncMessagePassingModel
 from repro.protocols.candidates import QuorumDecide
 from repro.protocols.tasks import EpsilonAgreementProtocol
+from repro.resilience.budget import Budget
 from repro.tasks.complex import Complex
 from repro.tasks.covering import (
     Covering,
@@ -16,6 +18,7 @@ from repro.tasks.covering import (
     valence_graph_for_covering,
 )
 from repro.tasks.simplex import Simplex
+from tests.conftest import ToySystem
 
 
 def sx(values):
@@ -72,7 +75,7 @@ class TestOutcomeAnalyzer:
 
     def test_quorum_outcomes_include_disagreement(self):
         layering, model = self.make(QuorumDecide(2))
-        analyzer = OutcomeAnalyzer(layering, max_states=300_000)
+        analyzer = OutcomeAnalyzer(layering, budget=Budget(max_states=300_000))
         result = analyzer.outcome(model.initial_state((0, 1, 1)))
         # full agreement on 0 and on 1 are both reachable...
         values_seen = set()
@@ -83,7 +86,7 @@ class TestOutcomeAnalyzer:
 
     def test_unanimous_single_outcome_value(self):
         layering, model = self.make(QuorumDecide(2))
-        analyzer = OutcomeAnalyzer(layering, max_states=300_000)
+        analyzer = OutcomeAnalyzer(layering, budget=Budget(max_states=300_000))
         result = analyzer.outcome(model.initial_state((1, 1, 1)))
         for simplex in result.outcomes:
             assert simplex.values() == {1}
@@ -92,7 +95,7 @@ class TestOutcomeAnalyzer:
         """Under perpetual short schedules the starved process never
         decides: 2-size outcomes appear alongside the 3-size ones."""
         layering, model = self.make(EpsilonAgreementProtocol())
-        analyzer = OutcomeAnalyzer(layering, max_states=500_000)
+        analyzer = OutcomeAnalyzer(layering, budget=Budget(max_states=500_000))
         result = analyzer.outcome(model.initial_state((0, 1, 1)))
         sizes = {len(s) for s in result.outcomes}
         assert 3 in sizes
@@ -101,7 +104,7 @@ class TestOutcomeAnalyzer:
 
     def test_memoization(self):
         layering, model = self.make(QuorumDecide(2))
-        analyzer = OutcomeAnalyzer(layering, max_states=300_000)
+        analyzer = OutcomeAnalyzer(layering, budget=Budget(max_states=300_000))
         r1 = analyzer.outcome(model.initial_state((0, 1, 1)))
         r2 = analyzer.outcome(model.initial_state((0, 1, 1)))
         assert r1 is r2
@@ -111,14 +114,14 @@ class TestAlwaysValenceConnected:
     def test_initial_states_always_connected(self):
         model = AsyncMessagePassingModel(QuorumDecide(2), 3)
         layering = PermutationLayering(model)
-        analyzer = OutcomeAnalyzer(layering, max_states=300_000)
+        analyzer = OutcomeAnalyzer(layering, budget=Budget(max_states=300_000))
         initials = model.initial_states((0, 1))
         assert always_valence_connected(initials, analyzer)
 
     def test_valence_graph_shape(self):
         model = AsyncMessagePassingModel(QuorumDecide(2), 3)
         layering = PermutationLayering(model)
-        analyzer = OutcomeAnalyzer(layering, max_states=300_000)
+        analyzer = OutcomeAnalyzer(layering, budget=Budget(max_states=300_000))
         zeros = model.initial_state((0, 0, 0))
         ones = model.initial_state((1, 1, 1))
         mixed = model.initial_state((0, 1, 1))
@@ -129,3 +132,32 @@ class TestAlwaysValenceConnected:
         assert g.has_edge(zeros, mixed)
         assert g.has_edge(ones, mixed)
         assert not g.has_edge(zeros, ones)
+
+
+class TestEdgeBudget:
+    """The edge budget must trip *inside* one state's expansion.
+
+    Regression: ``OutcomeAnalyzer._explore`` discarded the
+    ``charge_edge`` return, so a state with 40 successors under a
+    10-edge budget produced an exact-looking result instead of raising.
+    """
+
+    def _wide_system(self, fanout: int = 40) -> ToySystem:
+        edges = {"x": [(f"a{i}", f"c{i}") for i in range(fanout)]}
+        decisions = {}
+        for i in range(fanout):
+            edges[f"c{i}"] = [("s", f"c{i}")]
+            decisions[f"c{i}"] = {0: 0, 1: 0}
+        return ToySystem(edges=edges, decisions=decisions)
+
+    def test_raises_within_one_expansion(self):
+        sys = self._wide_system()
+        analyzer = OutcomeAnalyzer(sys, Budget(max_edges=10))
+        with pytest.raises(ExplorationLimitExceeded, match="edges"):
+            analyzer.outcome(sys.state("x"))
+
+    def test_roomy_edge_budget_unaffected(self):
+        sys = self._wide_system()
+        analyzer = OutcomeAnalyzer(sys, Budget(max_edges=10_000))
+        result = analyzer.outcome(sys.state("x"))
+        assert result.outcomes == frozenset({sx([0, 0])})

@@ -5,6 +5,7 @@ import pytest
 from repro.core.checker import Verdict
 from repro.protocols.candidates import QuorumDecide
 from repro.protocols.tasks import DecideOwnInput
+from repro.resilience.budget import Budget
 from repro.tasks.catalog import binary_consensus, identity_task
 from repro.tasks.checker import TaskReport
 from repro.tasks.solvability import (
@@ -15,6 +16,8 @@ from repro.tasks.solvability import (
     theorem_7_2_consistency,
     verify_protocol_solves,
 )
+
+BUDGET = Budget(max_states=400_000)
 
 
 def fake_report(verdict):
@@ -88,20 +91,20 @@ class TestDrivers:
 
     def test_verify_identity_solver(self):
         reports = verify_protocol_solves(
-            identity_task(3), DecideOwnInput(), max_states=400_000
+            identity_task(3), DecideOwnInput(), budget=BUDGET
         )
         assert all(r.satisfied for r in reports.values())
 
     def test_defeat_consensus_candidate(self):
         reports = defeat_in_every_model(
-            binary_consensus(3), QuorumDecide(2), max_states=400_000
+            binary_consensus(3), QuorumDecide(2), budget=BUDGET
         )
         assert reports
         assert all(not r.satisfied for r in reports.values())
 
     def test_corollary_row_for_identity(self):
         row = corollary_7_3_row(
-            identity_task(3), DecideOwnInput(), max_states=400_000
+            identity_task(3), DecideOwnInput(), budget=BUDGET
         )
         assert row.thick_connected
         assert row.operationally_solved is True

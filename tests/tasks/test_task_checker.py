@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.checker import Verdict
+from repro.core.valence import ExplorationLimitExceeded
 from repro.layerings.permutation import PermutationLayering
 from repro.layerings.synchronic_rw import SynchronicRWLayering
 from repro.models.async_mp import AsyncMessagePassingModel
@@ -13,6 +14,7 @@ from repro.protocols.tasks import (
     DecideOwnInput,
     EpsilonAgreementProtocol,
 )
+from repro.resilience.budget import Budget
 from repro.tasks.catalog import (
     binary_consensus,
     constant_task,
@@ -62,7 +64,7 @@ class TestNegativeControls:
     def test_waitforall_fails_decision(self):
         layering = perm_layering(WaitForAll())
         checker = TaskChecker(
-            layering, binary_consensus(3), max_states=300_000
+            layering, binary_consensus(3), budget=Budget(max_states=300_000)
         )
         report = checker.check_all(layering.model)
         assert report.verdict is Verdict.DECISION
@@ -98,3 +100,15 @@ class TestWrongInitialState:
         state = layering.model.initial_state((1, 0, 1))
         report = checker.check(state, facet)
         assert report.satisfied
+
+
+class TestBudget:
+    def test_tiny_budget_raises(self):
+        # A SATISFIED task report is a solvability claim, so the task
+        # checker raises rather than report a truncated search.
+        layering = perm_layering(WaitForAll())
+        checker = TaskChecker(
+            layering, binary_consensus(3), budget=Budget(max_states=5)
+        )
+        with pytest.raises(ExplorationLimitExceeded, match="budget"):
+            checker.check_all(layering.model)
