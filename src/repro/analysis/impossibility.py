@@ -27,13 +27,8 @@ from typing import Optional
 
 from repro.core.bivalence import build_bivalent_lasso
 from repro.core.cache import CacheSpec
-from repro.core.checker import (
-    ConsensusChecker,
-    ConsensusReport,
-    SweepUnit,
-    Verdict,
-    run_campaign,
-)
+from repro.core.campaign import SweepUnit, run_campaign
+from repro.core.checker import ConsensusChecker, ConsensusReport, Verdict
 from repro.core.connectivity import lemma_3_6
 from repro.core.run import RunWitness
 from repro.core.valence import ValenceAnalyzer
@@ -138,7 +133,7 @@ def refute_candidate(
     fault-isolated worker pool and merge deterministically — results are
     identical to the sequential run, and a crashing model sweep is
     quarantined as UNKNOWN instead of killing the campaign (see
-    :func:`repro.core.checker.run_campaign`).
+    :func:`repro.core.campaign.run_campaign`).
 
     ``cache`` memoizes successor/failure/decision queries per unit
     (default on; pass ``False`` to disable, an int for an LRU bound).

@@ -28,11 +28,8 @@ from typing import Optional
 from repro.analysis.lemmas import LemmaReport
 from repro.core.bivalence import bivalent_successor
 from repro.core.cache import CacheSpec
-from repro.core.checker import (
-    ConsensusReport,
-    SweepUnit,
-    run_campaign,
-)
+from repro.core.campaign import SweepUnit, run_campaign
+from repro.core.checker import ConsensusReport
 from repro.core.connectivity import lemma_3_6
 from repro.core.run import Execution
 from repro.core.state import GlobalState
@@ -130,7 +127,7 @@ def defeat_fast_candidates(
     trips (continuing under an exhausted wall clock would be futile).
     ``workers > 1`` runs the units on the fault-isolated pool with a
     deterministic merge — identical rows, crashes quarantined (see
-    :func:`repro.core.checker.run_campaign`).
+    :func:`repro.core.campaign.run_campaign`).
     """
     specs = []
     for rounds in range(1, t + 1):

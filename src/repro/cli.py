@@ -714,15 +714,8 @@ def _add_budget_flags(parser, suppress: bool = False) -> None:
         default=default(None),
         metavar="N",
         help="root states (input assignments) per parallel shard; "
-        "smaller shards steal better, the merged verdict is identical "
+        "smaller shards balance better, the merged verdict is identical "
         "for any value (default 1)",
-    )
-    parser.add_argument(
-        "--steal",
-        action=argparse.BooleanOptionalAction,
-        default=default(None),
-        help="pull-based work stealing between pool workers (default "
-        "on; --no-steal pins shard i to worker i mod N)",
     )
     parser.add_argument(
         "--cache",
@@ -1096,7 +1089,7 @@ def main(argv: list[str] | None = None) -> int:
         max_states=args.max_states, max_seconds=args.timeout
     )
     args.pool = pool_config_for(
-        args.workers, args.unit_timeout, args.max_retries, args.steal
+        args.workers, args.unit_timeout, args.max_retries
     )
     args.campaign = None
     if args.resume:

@@ -56,9 +56,9 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.run import Execution, RunWitness
 from repro.core.state import GlobalState
@@ -74,11 +74,9 @@ from repro.resilience.checkpoint import (
     ExplorationCheckpoint,
     system_fingerprint,
 )
-from repro.resilience.pool import (
-    PoolConfig,
-    UnitOutcome,
-    run_units,
-)
+
+if TYPE_CHECKING:
+    from repro.resilience.pool import PoolConfig
 
 
 class Verdict(Enum):
@@ -170,6 +168,21 @@ class ConsensusReport:
             raise ValueError("only decision violations carry a run witness")
         assert self.execution is not None and self.cycle is not None
         return RunWitness(self.execution, self.cycle)
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """One ``check_all`` sweep: its input assignments in product order
+    and its resume cursor — the first assignment to check, the states
+    counted before it, and that assignment's in-flight exploration
+    snapshot (see :meth:`ConsensusChecker.plan_sweep`)."""
+
+    model: Any
+    domain: tuple
+    assignments: list
+    start: int = 0
+    total: int = 0
+    inner: Optional[ExplorationCheckpoint] = None
 
 
 class ConsensusChecker:
@@ -300,138 +313,113 @@ class ConsensusChecker:
         deterministic assignment cursor plus the in-flight assignment's
         exploration snapshot; pass it back to resume.
 
-        With ``workers > 1`` the sweep's root frontier (its input
-        assignments) is split into shards of ``shard_states`` assignments
-        each (default 1 — maximal stealing granularity) and run across a
-        fault-isolated worker pool (:mod:`repro.resilience.pool`).  The
-        system and model ship **once per worker** as shared context;
-        shard payloads carry only an index span, so dispatch cost is
-        O(shard descriptor).  Each assignment's BFS runs against its own
-        budget meter — exactly the per-assignment metering of the
-        sequential path — and the per-assignment reports are merged **in
-        assignment order**, so the returned report (verdict, witness,
-        statistics, checkpoint) is identical to the sequential run's,
-        whatever the stealing schedule.  A shard whose worker crashes
-        repeatedly is *quarantined*: the sweep reports ``UNKNOWN`` at
-        that shard's cursor with the crash cause in the detail
-        (resumable from that index), instead of the whole sweep dying
-        with the worker.  Wall-clock-limited budgets are the one
-        intentional semantic difference: the deadline is shared, so
-        under time pressure a parallel run covers more assignments
-        before tripping.
+        Sequentially the contract preflight gates once over every initial
+        state, then the remaining assignments run as one span
+        (:meth:`check_span`) and merge (:meth:`merge_spans`).  With
+        ``workers > 1`` the same plan is split into spans of
+        ``shard_states`` assignments (default 1) and run across the
+        fault-isolated worker pool by :func:`repro.core.campaign.run_sharded`
+        (*pool* is its :class:`~repro.resilience.pool.PoolConfig`); the
+        spans merge in assignment order, so the report (verdict,
+        witness, statistics, checkpoint) is identical to the sequential
+        one whatever the schedule.  A span whose worker crashes
+        repeatedly is quarantined: the sweep reports ``UNKNOWN`` at that
+        span's cursor with the crash cause in the detail (resumable from
+        that index).  Wall-clock-limited budgets are the one intentional
+        semantic difference: the deadline is shared, so under time
+        pressure a parallel run covers more assignments before tripping.
         """
-        from itertools import product
-
         domain = tuple(value_domain)
-        assignments = list(product(domain, repeat=model.n))
-        start = 0
-        total = 0
-        inner: Optional[ExplorationCheckpoint] = None
-        if checkpoint is not None:
-            checkpoint.validate_for(self._system, model.n, domain)
-            start = checkpoint.assignment_index
-            total = checkpoint.states_total
-            inner = checkpoint.inner
-        if workers is not None and workers > 1 and len(assignments) - start > 1:
-            # The preflight probe calls the user's successor function, so
-            # in a parallel sweep it must run inside the fault-isolated
-            # workers (each gates once per process, memoized) — probing
-            # in the driver would let a crashing successor kill the
-            # whole sweep, the exact failure mode the pool exists to
-            # contain.
-            return self._check_all_parallel(
-                model, domain, assignments, start, total, inner,
-                workers, pool, shard_states,
+        start = checkpoint.assignment_index if checkpoint is not None else 0
+        if workers is not None and workers > 1 and len(domain) ** model.n - start > 1:
+            from repro.core.campaign import SweepUnit, run_sharded
+
+            unit = SweepUnit(
+                self._system, model, self._budget, resume=checkpoint,
+                preflight=self._preflight, value_domain=domain,
             )
+            return run_sharded({0: unit}, workers, pool, shard_states)[0]
+        plan = self.plan_sweep(model, domain, checkpoint)
         refused = self._preflight_gate(
-            (model.initial_state(a) for a in assignments), None
+            (model.initial_state(a) for a in plan.assignments), None
         )
         if refused is not None:
             return refused
-        for index in range(start, len(assignments)):
-            assignment = assignments[index]
-            report = self._check_one(
-                model.initial_state(assignment),
-                assignment,
-                self._budget.meter(),
-                inner,
-            )
-            inner = None
-            outcome = self._merge_assignment(
-                report, index, assignment, assignments, domain, model, total
-            )
-            if outcome is not None:
-                return outcome
-            total += report.states_explored
-        return self._satisfied_sweep(domain, model, total)
+        stop = len(plan.assignments)
+        reports = self.check_span(plan, plan.start, stop, plan.inner)
+        return self.merge_spans(plan, [(plan.start, stop, reports)])
 
-    def _check_all_parallel(
+    def plan_sweep(
         self,
         model,
-        domain: tuple,
-        assignments: list,
-        start: int,
-        total: int,
-        inner: Optional[ExplorationCheckpoint],
-        workers: int,
-        pool: Optional[PoolConfig],
-        shard_states: Optional[int],
-    ) -> ConsensusReport:
-        """The worker-pool arm of :meth:`check_all` (deterministic merge)."""
-        import dataclasses
+        value_domain: Sequence[Hashable] = (0, 1),
+        checkpoint: Optional[CheckAllCheckpoint] = None,
+    ) -> SweepPlan:
+        """The assignments of a ``check_all`` sweep and where it resumes
+        (the *checkpoint* is validated against this checker's system)."""
+        from itertools import product
 
-        spans = _shard_spans(start, len(assignments), shard_states)
-        units = [
-            (lo, (lo, hi, inner if lo == start else None))
-            for lo, hi in spans
-        ]
-        context = _SweepContext(
-            system=self._system,
-            model=model,
-            budget=self._budget,
-            preflight=self._preflight,
-            domain=domain,
-        )
-        config = pool or PoolConfig()
-        if config.workers != workers:
-            config = dataclasses.replace(config, workers=workers)
-        outcomes = run_units(
-            _check_shard_unit, units, config, context=context
-        ).outcomes
-        return self._merge_shard_spans(
-            model, domain, assignments, total, spans, outcomes.__getitem__
+        domain = tuple(value_domain)
+        plan = SweepPlan(model, domain, list(product(domain, repeat=model.n)))
+        if checkpoint is None:
+            return plan
+        checkpoint.validate_for(self._system, model.n, domain)
+        return replace(
+            plan,
+            start=checkpoint.assignment_index,
+            total=checkpoint.states_total,
+            inner=checkpoint.inner,
         )
 
-    def _merge_shard_spans(
+    def check_span(
         self,
-        model,
-        domain: tuple,
-        assignments: list,
-        total: int,
-        spans: list,
-        outcome_for,
-    ) -> ConsensusReport:
-        """Fold per-shard report lists into the sweep verdict.
+        plan: SweepPlan,
+        lo: int,
+        hi: int,
+        inner: Optional[ExplorationCheckpoint] = None,
+        gate: bool = False,
+    ) -> list[ConsensusReport]:
+        """Check assignments ``lo .. hi-1`` of *plan* in order, each
+        against a fresh budget meter, stopping at the first
+        non-SATISFIED report; *inner* resumes assignment *lo*.
 
-        Spans are walked in assignment order regardless of which worker
-        ran them or in what order they finished — the merge is a pure
-        function of the per-assignment reports, so the result is
-        byte-identical to the sequential sweep under any stealing
-        schedule.  ``outcome_for(lo)`` returns the pool
-        :class:`~repro.resilience.pool.UnitOutcome` of the span starting
-        at ``lo``.
+        With *gate* the contract preflight gates each assignment's
+        initial state first (memoized per process), the sharded
+        workers' gate; the sequential sweep gates all roots up front.
         """
-        for lo, hi in spans:
-            unit = outcome_for(lo)
-            if unit.quarantined:
-                sweep = CheckAllCheckpoint(
-                    fingerprint=system_fingerprint(self._system),
-                    n=model.n,
-                    value_domain=domain,
-                    assignment_index=lo,
-                    states_total=total,
-                    inner=None,
+        reports: list[ConsensusReport] = []
+        for index in range(lo, hi):
+            assignment = plan.assignments[index]
+            initial = plan.model.initial_state(assignment)
+            report = (
+                self._preflight_gate([initial], assignment) if gate else None
+            )
+            if report is None:
+                report = self._check_one(
+                    initial,
+                    assignment,
+                    self._budget.meter(),
+                    inner if index == lo else None,
                 )
+            reports.append(report)
+            if not report.satisfied:
+                break
+        return reports
+
+    def merge_spans(self, plan: SweepPlan, spans) -> ConsensusReport:
+        """Fold ``(lo, hi, reports)`` spans into the sweep verdict.
+
+        Spans are walked in assignment order, whoever ran them and in
+        whatever order they finished, so the result is a pure function
+        of the per-assignment reports.  *reports* is a
+        :meth:`check_span` list, or a string naming why the span never
+        ran (a quarantined pool unit): the sweep then stops ``UNKNOWN``
+        at the span's cursor, resumable from there.
+        """
+        assignments = plan.assignments
+        total = plan.total
+        for lo, hi, reports in spans:
+            if isinstance(reports, str):
                 where = (
                     f"assignment {lo + 1} of {len(assignments)} "
                     f"({assignments[lo]!r})"
@@ -444,74 +432,60 @@ class ConsensusChecker:
                     execution=None,
                     cycle=None,
                     detail=(
-                        f"{where} quarantined: {unit.cause()} "
+                        f"{where} quarantined: {reports} "
                         "(resume from the checkpoint to re-run it)"
                     ),
                     states_explored=total,
                     budget_stats=None,
-                    checkpoint=sweep,
+                    checkpoint=self._sweep_checkpoint(plan, lo, total, None),
                 )
-            for offset, report in enumerate(unit.value):
-                index = lo + offset
-                outcome = self._merge_assignment(
-                    report, index, assignments[index], assignments, domain,
-                    model, total,
-                )
-                if outcome is not None:
-                    return outcome
+            for index, report in enumerate(reports, lo):
+                if report.inconclusive:
+                    return ConsensusReport(
+                        verdict=Verdict.UNKNOWN,
+                        inputs=assignments[index],
+                        execution=None,
+                        cycle=None,
+                        detail=(
+                            f"budget exhausted on assignment {index + 1} of "
+                            f"{len(assignments)} ({assignments[index]!r}): "
+                            f"{report.detail}"
+                        ),
+                        states_explored=total + report.states_explored,
+                        budget_stats=report.budget_stats,
+                        checkpoint=self._sweep_checkpoint(
+                            plan, index, total, report.checkpoint
+                        ),
+                    )
+                if not report.satisfied:
+                    return report
                 total += report.states_explored
-        return self._satisfied_sweep(domain, model, total)
-
-    def _merge_assignment(
-        self,
-        report: ConsensusReport,
-        index: int,
-        assignment: tuple,
-        assignments: list,
-        domain: tuple,
-        model,
-        total: int,
-    ) -> Optional[ConsensusReport]:
-        """Fold one assignment's report into the sweep: the final report
-        when the sweep stops here (violation or UNKNOWN), else None."""
-        if report.inconclusive:
-            sweep = CheckAllCheckpoint(
-                fingerprint=system_fingerprint(self._system),
-                n=model.n,
-                value_domain=domain,
-                assignment_index=index,
-                states_total=total,
-                inner=report.checkpoint,
-            )
-            return ConsensusReport(
-                verdict=Verdict.UNKNOWN,
-                inputs=assignment,
-                execution=None,
-                cycle=None,
-                detail=(
-                    f"budget exhausted on assignment {index + 1} of "
-                    f"{len(assignments)} ({assignment!r}): "
-                    f"{report.detail}"
-                ),
-                states_explored=total + report.states_explored,
-                budget_stats=report.budget_stats,
-                checkpoint=sweep,
-            )
-        if not report.satisfied:
-            return report
-        return None
-
-    def _satisfied_sweep(self, domain: tuple, model, total: int) -> ConsensusReport:
         return ConsensusReport(
             verdict=Verdict.SATISFIED,
             inputs=None,
             execution=None,
             cycle=None,
             detail=(
-                f"all {len(domain) ** model.n} input assignments "
+                f"all {len(assignments)} input assignments "
                 "decide, agree and are valid"
             ),
             states_explored=total,
+        )
+
+    def _sweep_checkpoint(
+        self,
+        plan: SweepPlan,
+        index: int,
+        total: int,
+        inner: Optional[ExplorationCheckpoint],
+    ) -> CheckAllCheckpoint:
+        return CheckAllCheckpoint(
+            fingerprint=system_fingerprint(self._system),
+            n=plan.model.n,
+            value_domain=plan.domain,
+            assignment_index=index,
+            states_total=total,
+            inner=inner,
         )
 
     # -- internals ----------------------------------------------------------
@@ -828,377 +802,6 @@ class ConsensusChecker:
                     return _path_to(child, parent)
                 queue.append(child)
         return None
-
-
-# -- parallel work units ------------------------------------------------------
-#
-# The pool pickles payloads into worker processes and calls a module-level
-# function on them; these are the two unit shapes the library ships —
-# one assignment of one sweep (check_all's internal sharding) and one
-# whole check_all over one layered system (the campaign drivers' unit).
-
-def _shard_spans(
-    start: int, stop: int, shard_states: Optional[int]
-) -> list[tuple[int, int]]:
-    """Split the assignment cursor range into ``[lo, hi)`` shard spans.
-
-    ``shard_states`` is the number of root assignments per shard
-    (default 1 — maximal stealing granularity; payloads are O(span), so
-    fine shards cost nothing on the wire).
-    """
-    if shard_states is not None and shard_states < 1:
-        raise ValueError("shard_states must be >= 1")
-    size = shard_states or 1
-    return [(lo, min(lo + size, stop)) for lo in range(start, stop, size)]
-
-
-class _SweepContext:
-    """Shared worker-side inputs of one parallel ``check_all`` sweep.
-
-    Shipped to each worker **once** via ``run_units(..., context=...)``,
-    never per shard: the checker built from it — and with it the resolved
-    successor cache and the per-process preflight memo — is reused by
-    every shard the worker runs.  That sharing is the heart of the E14
-    fix: the historical per-unit payload pickled its own system copy, so
-    the preflight probe's per-object memo could never hit and every unit
-    re-probed the system.  Sharing one checker across shards is sound
-    because cache transparency (PR 3) guarantees verdicts, witnesses and
-    checkpoints are byte-identical cached or uncached, warm or cold.
-    """
-
-    def __init__(
-        self, system, model, budget, preflight, domain, cache=None
-    ):
-        self.system = system
-        self.model = model
-        self.budget = budget
-        self.preflight = preflight
-        self.domain = domain
-        self.cache = cache
-        self._checker: Optional[ConsensusChecker] = None
-        self._assignments: Optional[list] = None
-
-    def checker(self) -> ConsensusChecker:
-        """The process-local checker, built once per worker."""
-        if self._checker is None:
-            self._checker = ConsensusChecker(
-                self.system,
-                self.budget,
-                cache=self.cache,
-                preflight=self.preflight,
-            )
-        return self._checker
-
-    def assignments(self) -> list:
-        """The full assignment list, in deterministic product order."""
-        if self._assignments is None:
-            from itertools import product
-
-            self._assignments = list(
-                product(self.domain, repeat=self.model.n)
-            )
-        return self._assignments
-
-    def warmup(self) -> None:
-        """Run the memoized preflight probe during pool cold-start.
-
-        Best-effort by contract (the pool swallows warmup errors); an
-        ill-formed system is never memoized as clean, so the first real
-        shard re-probes and reports ILL_FORMED through the normal merge.
-        """
-        checker = self.checker()
-        initial = self.model.initial_state(self.assignments()[0])
-        checker._preflight_gate([initial], None)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_checker"] = None      # caches never cross processes
-        state["_assignments"] = None
-        return state
-
-
-def _check_shard_unit(payload, context: _SweepContext) -> list:
-    """Pool unit: BFS one shard (a span of input assignments).
-
-    The contract preflight gates here, inside the fault-isolated worker,
-    never in the driver: the probe calls the user's successor function,
-    so a crashing system must crash a *worker* (retried, then
-    quarantined) rather than the whole sweep.  An ill-formed system is
-    returned as an ``ILL_FORMED`` report, which stops the driver's merge
-    exactly like any other non-SATISFIED verdict.
-
-    Returns the shard's per-assignment reports in assignment order,
-    truncated at the first non-SATISFIED verdict — the sweep stops there
-    during the merge, so later assignments of the shard would never be
-    read (each assignment still charges its own fresh budget meter,
-    exactly like the sequential path).
-    """
-    lo, hi, inner = payload
-    checker = context.checker()
-    assignments = context.assignments()
-    reports: list[ConsensusReport] = []
-    for index in range(lo, hi):
-        assignment = assignments[index]
-        initial = context.model.initial_state(assignment)
-        report = checker._preflight_gate([initial], assignment)
-        if report is None:
-            report = checker._check_one(
-                initial,
-                assignment,
-                checker._budget.meter(),
-                inner if index == lo else None,
-            )
-        reports.append(report)
-        if not report.satisfied:
-            break
-    return reports
-
-
-@dataclass(frozen=True)
-class SweepUnit:
-    """One campaign unit: a full ``check_all`` over one layered system.
-
-    Picklable payload for :func:`run_sweep_unit`; *system* and *model*
-    are usually ``layering`` and ``layering.model`` but may coincide
-    (the full synchronous model checks itself).  *resume* carries the
-    in-flight :class:`~repro.resilience.CheckAllCheckpoint` when a
-    campaign is resumed.  *cache* is the checker's ``cache=`` spec; a
-    ``CachedSystem`` passed here (or as *system*) ships only its
-    configuration across the process boundary, so each pool worker warms
-    one private cache per unit — preserving the deterministic merge.
-    """
-
-    system: object
-    model: object
-    budget: Budget
-    resume: Optional[CheckAllCheckpoint] = None
-    cache: object = None
-    preflight: bool = True
-
-
-def run_sweep_unit(unit: SweepUnit) -> ConsensusReport:
-    """Pool unit function for campaign drivers: one exhaustive sweep."""
-    return ConsensusChecker(
-        unit.system, unit.budget, cache=unit.cache,
-        preflight=unit.preflight,
-    ).check_all(unit.model, checkpoint=unit.resume)
-
-
-class _CampaignContext:
-    """Shared worker-side specs of a parallel campaign.
-
-    One per campaign run, shipped to each worker once; holds every
-    pending unit's :class:`SweepUnit` spec (resume checkpoints stripped —
-    the shard spans encode resume cursors) and lazily builds one
-    :class:`_SweepContext` per unit key per process, so all shards of a
-    unit that land on the same worker share one checker, one warm cache
-    and one preflight memo.
-    """
-
-    def __init__(self, specs: dict):
-        self.specs = specs  # {key: SweepUnit}
-        self._sweeps: dict = {}
-
-    def sweep(self, key) -> "_SweepContext":
-        context = self._sweeps.get(key)
-        if context is None:
-            unit = self.specs[key]
-            context = _SweepContext(
-                system=unit.system,
-                model=unit.model,
-                budget=unit.budget,
-                preflight=unit.preflight,
-                domain=(0, 1),
-                cache=unit.cache,
-            )
-            self._sweeps[key] = context
-        return context
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_sweeps"] = {}  # caches never cross processes
-        return state
-
-
-def _campaign_shard_unit(payload, context: _CampaignContext) -> list:
-    """Pool unit: one shard (assignment span) of one campaign sweep."""
-    key, span = payload
-    return _check_shard_unit(span, context.sweep(key))
-
-
-def run_campaign(
-    units: Sequence[tuple],
-    campaign=None,
-    workers: Optional[int] = None,
-    pool: Optional[PoolConfig] = None,
-    on_unit=None,
-    shard_states: Optional[int] = None,
-) -> list[tuple]:
-    """Run ``(key, SweepUnit)`` campaign units with shared resilience
-    semantics; the engine behind the analysis drivers' ``workers=N``.
-
-    Sequentially (``workers`` None or <= 1) units run one at a time in
-    submission order, stopping after the first inconclusive report —
-    continuing a sweep whose budget already tripped would be futile.
-    With ``workers > 1`` every pending sweep's root frontier is split
-    into shards of ``shard_states`` input assignments (default 1) and
-    the shards — not the whole sweeps — are scheduled across the
-    fault-isolated pool (:mod:`repro.resilience.pool`), so a campaign of
-    even a *single* heavyweight sweep parallelizes.  Heavy inputs ship
-    once per worker as shared context; shard payloads are index spans.
-    Reports are merged back **in submission order, in assignment order
-    within each sweep** with the same early-stop rule, so both paths
-    return identical results for identical inputs; a shard the pool
-    quarantined merges its sweep as UNKNOWN at the shard's cursor
-    (resumable) without failing its neighbours.
-
-    A :class:`~repro.resilience.CampaignCheckpoint` is honoured and
-    maintained either way: completed units are reused instantly,
-    conclusive reports are recorded **as their last shard finishes** (an
-    interrupt loses at most in-flight units), and the first inconclusive
-    unit's partial progress is suspended for resume.  *on_unit*, when
-    given, is called as ``on_unit(key, report)`` after each freshly-run
-    unit's campaign update (a hook for per-unit timing or progress).
-
-    Returns ``(key, report)`` pairs in submission order, truncated at
-    the first inconclusive report.
-    """
-    import dataclasses
-    from itertools import product
-
-    cached: dict = {}
-    pending: list[tuple] = []
-    for key, unit in units:
-        done = campaign.report_for(key) if campaign is not None else None
-        if done is not None:
-            cached[key] = done
-            continue
-        resume = campaign.resume_point(key) if campaign is not None else None
-        if resume is not None:
-            unit = dataclasses.replace(unit, resume=resume)
-        pending.append((key, unit))
-
-    reports: Optional[dict] = None
-    if workers is not None and workers > 1 and pending:
-        domain = (0, 1)  # run_sweep_unit's check_all default
-        plans: dict = {}
-        shard_units: list[tuple] = []
-        merged: dict = {}
-        for key, unit in pending:
-            checker = ConsensusChecker(
-                unit.system, unit.budget, cache=unit.cache,
-                preflight=unit.preflight,
-            )
-            assignments = list(product(domain, repeat=unit.model.n))
-            start, total, inner = 0, 0, None
-            if unit.resume is not None:
-                unit.resume.validate_for(
-                    checker._system, unit.model.n, domain
-                )
-                start = unit.resume.assignment_index
-                total = unit.resume.states_total
-                inner = unit.resume.inner
-            spans = _shard_spans(start, len(assignments), shard_states)
-            plans[key] = (checker, unit, assignments, total, spans)
-            for lo, hi in spans:
-                shard_units.append(
-                    ((key, lo), (key, (lo, hi, inner if lo == start else None)))
-                )
-            if not spans:
-                # Resumed past the last assignment: nothing left to run.
-                merged[key] = checker._satisfied_sweep(
-                    domain, unit.model, total
-                )
-                crashpoint("campaign.unit.finish")
-                if campaign is not None:
-                    campaign.record(key, merged[key])
-                if on_unit is not None:
-                    on_unit(key, merged[key])
-        if shard_units:
-            config = pool or PoolConfig()
-            if config.workers != workers:
-                config = dataclasses.replace(config, workers=workers)
-            specs = {
-                key: dataclasses.replace(unit, resume=None)
-                for key, unit in pending
-            }
-            shard_outcomes: dict = {}
-            remaining = {
-                key: len(plan[4]) for key, plan in plans.items() if plan[4]
-            }
-
-            def record_finished(outcome: UnitOutcome) -> None:
-                key, _ = outcome.key
-                shard_outcomes[outcome.key] = outcome
-                remaining[key] -= 1
-                if remaining[key]:
-                    return
-                checker, unit, assignments, total, spans = plans[key]
-                report = checker._merge_shard_spans(
-                    unit.model, domain, assignments, total, spans,
-                    lambda lo: shard_outcomes[(key, lo)],
-                )
-                merged[key] = report
-                if not report.inconclusive:
-                    crashpoint("campaign.unit.finish")
-                    if campaign is not None:
-                        campaign.record(key, report)
-                    if on_unit is not None:
-                        on_unit(key, report)
-
-            run_units(
-                _campaign_shard_unit,
-                shard_units,
-                config,
-                on_complete=record_finished,
-                context=_CampaignContext(specs),
-            )
-        reports = merged
-
-    pending_map = dict(pending)
-    out: list[tuple] = []
-    for key, _ in units:
-        if key in cached:
-            report = cached[key]
-        elif reports is not None:
-            report = reports[key]
-            if report.inconclusive and campaign is not None:
-                if report.checkpoint is not None:
-                    campaign.suspend(key, report.checkpoint)
-        else:
-            crashpoint("campaign.unit.start")
-            report = run_sweep_unit(pending_map[key])
-            crashpoint("campaign.unit.finish")
-            if campaign is not None:
-                if report.inconclusive:
-                    campaign.suspend(key, report.checkpoint)
-                else:
-                    campaign.record(key, report)
-            if on_unit is not None:
-                on_unit(key, report)
-        out.append((key, report))
-        if report.inconclusive:
-            return out
-    return out
-
-
-def quarantined_report(outcome: UnitOutcome) -> ConsensusReport:
-    """An ``UNKNOWN`` report for a campaign unit the pool quarantined.
-
-    Quarantine must not abort the sweep, and it must not masquerade as a
-    verdict either: the unit is reported inconclusive with the fault
-    history as the cause.  The report carries no checkpoint — the unit
-    made no resumable progress — so resuming a campaign simply re-runs
-    it from scratch.
-    """
-    return ConsensusReport(
-        verdict=Verdict.UNKNOWN,
-        inputs=None,
-        execution=None,
-        cycle=None,
-        detail=f"unit {outcome.key!r} quarantined: {outcome.cause()}",
-        states_explored=0,
-    )
 
 
 def _path_to(state: GlobalState, parent: dict) -> Execution:

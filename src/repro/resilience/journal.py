@@ -38,7 +38,7 @@ tail healing and rewrite live in :mod:`repro.resilience.frames`, shared
 with the job server's verdict store.
 
 :class:`CampaignJournal` subclasses ``CampaignCheckpoint`` so the
-campaign engines (:func:`repro.core.checker.run_campaign`, the analysis
+campaign engines (:func:`repro.core.campaign.run_campaign`, the analysis
 drivers, the CLI) need no new call sites: ``record``/``suspend``
 transparently append.  Fingerprint validation is unchanged — it lives
 in the inner checkpoints, which travel through the journal intact.

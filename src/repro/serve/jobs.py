@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.campaign import SweepUnit, run_sweep_unit
 from repro.resilience.budget import Budget
 
 __all__ = [
@@ -252,8 +253,6 @@ def run_job(payload: dict) -> dict:
                 "work": spec.work,
             },
         }
-    from repro.core.checker import SweepUnit, run_sweep_unit
-
     limits = payload.get("budget") or {}
     budget = Budget(
         max_states=limits.get("max_states"),

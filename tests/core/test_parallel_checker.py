@@ -205,7 +205,7 @@ class TestCrashTolerance:
 
 
 class TestShardingKnobs:
-    """``shard_states`` and ``steal`` change the schedule, never the
+    """``shard_states`` changes the schedule, never the
     verdict: the ordered-span merge is schedule-independent."""
 
     def test_finest_shards_identical_verdicts(self, st_floodset_tight):
@@ -235,17 +235,6 @@ class TestShardingKnobs:
         )
         parallel = ConsensusChecker(st_floodset_fast).check_all(
             st_floodset_fast.model, workers=2, shard_states=10_000
-        )
-        _assert_reports_equal(parallel, sequential)
-
-    def test_steal_disabled_identical_verdicts(self, st_floodset_tight):
-        sequential = ConsensusChecker(st_floodset_tight).check_all(
-            st_floodset_tight.model
-        )
-        parallel = ConsensusChecker(st_floodset_tight).check_all(
-            st_floodset_tight.model,
-            workers=3,
-            pool=PoolConfig(workers=3, steal=False),
         )
         _assert_reports_equal(parallel, sequential)
 

@@ -140,7 +140,7 @@ class TestMidShardCrashWithStealing:
             workers=2,
             shard_states=1,
             pool=PoolConfig(
-                workers=2, max_retries=2, retry_backoff=0.01, steal=True
+                workers=2, max_retries=2, retry_backoff=0.01
             ),
         )
         assert os.path.exists(marker)  # the mid-shard kill happened
@@ -164,7 +164,7 @@ class TestMidShardCrashWithStealing:
             workers=3,
             shard_states=1,
             pool=PoolConfig(
-                workers=3, max_retries=2, retry_backoff=0.01, steal=True
+                workers=3, max_retries=2, retry_backoff=0.01
             ),
         )
         assert os.path.exists(marker)
