@@ -136,7 +136,7 @@ def refute_candidate(
     :func:`repro.core.campaign.run_campaign`).
 
     ``cache`` memoizes successor/failure/decision queries per unit
-    (default on; pass ``False`` to disable, an int for an LRU bound).
+    (default on; pass ``False`` to disable).
     Each unit gets its own cache — parallel workers never share one —
     and verdicts are byte-identical either way.
 

@@ -26,6 +26,7 @@ from typing import Optional
 
 from repro.core.checker import Verdict
 from repro.core.state import GlobalState
+from repro.core.valence import ExplorationLimitExceeded, all_nonfailed_decided
 from repro.layerings.st_synchronous import StSynchronousLayering
 from repro.models.sync import SynchronousModel
 from repro.protocols.base import MessagePassingProtocol
@@ -81,12 +82,7 @@ def _round_bound_breach(
         seen = {(initial, 0)}
         while frontier:
             state, depth = frontier.popleft()
-            failed = model.failed_at(state)
-            decided = model.decisions(state)
-            done = all(
-                i in decided for i in range(problem.n) if i not in failed
-            )
-            if done:
+            if all_nonfailed_decided(model, state):
                 continue
             if depth >= rounds:
                 return TaskReport(
@@ -105,7 +101,7 @@ def _round_bound_breach(
                 if key not in seen:
                     tripped = meter.charge_state(child)
                     if tripped is not None:
-                        raise RuntimeError(
+                        raise ExplorationLimitExceeded(
                             f"round-bound BFS budget exhausted ({tripped})"
                         )
                     seen.add(key)

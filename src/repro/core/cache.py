@@ -10,8 +10,7 @@ applications per state), recomputed from scratch each time two engines —
 or two phases of one engine — visit the same state.
 
 :class:`CachedSystem` wraps any successor system and memoizes
-``successors``, ``failed_at`` and ``decisions`` per state, either
-unbounded (the default) or LRU-bounded (``max_entries``).  It also
+``successors``, ``failed_at`` and ``decisions`` per state.  It also
 *hash-conses* the states flowing through it: every state returned from a
 cached ``successors`` call is interned to one canonical
 :class:`~repro.core.state.GlobalState` object per distinct value, so the
@@ -29,29 +28,27 @@ Invariants the wrapper guarantees (and relies on):
   test_cache_parity.py`` enforces this per layering family.
 * **Interning is value-preserving** — the canonical object is ``==`` to
   (and hashes identically to) every object it replaces; only identity is
-  consolidated.  Evicting an intern entry is therefore always safe: a
+  consolidated.  Clearing the intern table is therefore always safe: a
   later equal state simply becomes the new canonical object.
 * **Returned objects are shared** — callers must treat the lists/dicts
   returned by a cached system as immutable (every engine in this library
   already does; none mutates a ``successors``/``decisions`` result).
 * **Caches do not cross processes** — pickling a ``CachedSystem`` (e.g.
   into a :mod:`repro.resilience.pool` worker) carries the wrapped system
-  and the configuration but *drops the cache contents*, so each parallel
+  but *drops the cache contents*, so each parallel
   verification unit warms its own private cache and the deterministic
   merge of PR 2 is preserved exactly.
 
 :func:`resolve_cache` is the one-line adapter engines and drivers use to
-accept ``cache=`` as a bool, an LRU bound, or a prebuilt (shared)
-``CachedSystem``.
+accept ``cache=`` as a bool or a prebuilt (shared) ``CachedSystem``.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
 from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from repro.core.state import GlobalState
 from repro.resilience.budget import _state_bytes
@@ -80,15 +77,13 @@ class _Counters:
     """
 
     __slots__ = (
-        "hits", "misses", "intern_hits", "evictions", "sampled",
-        "sample_bytes",
+        "hits", "misses", "intern_hits", "sampled", "sample_bytes",
     )
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self.intern_hits = 0
-        self.evictions = 0
         self.sampled = 0
         self.sample_bytes = 0
 
@@ -106,7 +101,6 @@ def _snapshot(
         entries=entries,
         interned=interned,
         intern_hits=counters.intern_hits,
-        evictions=counters.evictions,
         bytes_estimate=per_state * interned,
     )
 
@@ -137,7 +131,6 @@ class CacheStats:
         interned: distinct canonical states in the intern table.
         intern_hits: state lookups consolidated onto an existing
             canonical object (the raw measure of cross-engine sharing).
-        evictions: memo entries dropped by the LRU bound (0 if unbounded).
         bytes_estimate: best-effort footprint of the interned states
             (sampled ``sys.getsizeof`` extrapolation, same estimator the
             budget meter uses).
@@ -148,7 +141,6 @@ class CacheStats:
     entries: int
     interned: int
     intern_hits: int
-    evictions: int
     bytes_estimate: int
 
     @property
@@ -165,7 +157,6 @@ class CacheStats:
             f"{self.hits} hits, {self.misses} misses "
             f"({self.hit_ratio:.0%}), {self.interned} interned states "
             f"(~{self.bytes_estimate} bytes)"
-            + (f", {self.evictions} evictions" if self.evictions else "")
         )
 
 
@@ -177,7 +168,6 @@ def merge_cache_stats(parts: "list[CacheStats]") -> CacheStats:
         entries=sum(p.entries for p in parts),
         interned=sum(p.interned for p in parts),
         intern_hits=sum(p.intern_hits for p in parts),
-        evictions=sum(p.evictions for p in parts),
         bytes_estimate=sum(p.bytes_estimate for p in parts),
     )
 
@@ -202,24 +192,19 @@ class CachedSystem:
     or model anywhere in the library; unknown attributes (``layer_actions``,
     ``expand``, ``apply``, ``t``, ...) pass through to the wrapped system.
 
+    Memoizes every state it is asked about, for the cache's lifetime.
+
     Args:
         system: any successor system (layering or model).
-        max_entries: memo-table bound *per table*.  ``None`` (default)
-            memoizes every state ever seen; an ``int`` keeps at most that
-            many entries per table, evicting least-recently-used ones.
-            Eviction affects only speed, never results.
     """
 
-    def __init__(self, system, max_entries: Optional[int] = None) -> None:
+    def __init__(self, system) -> None:
         if isinstance(system, CachedSystem):
             raise TypeError("refusing to cache an already-cached system")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be >= 1 (or None)")
         self._system = system
-        self._max_entries = max_entries
-        self._successors: "OrderedDict[GlobalState, list]" = OrderedDict()
-        self._failed: "OrderedDict[GlobalState, frozenset[int]]" = OrderedDict()
-        self._decisions: "OrderedDict[GlobalState, dict]" = OrderedDict()
+        self._successors: dict[GlobalState, list] = {}
+        self._failed: dict[GlobalState, frozenset[int]] = {}
+        self._decisions: dict[GlobalState, dict] = {}
         self._nonfaulty: dict[Hashable, frozenset[int]] = {}
         self._interned: dict[GlobalState, GlobalState] = {}
         self._counters = _Counters()
@@ -231,10 +216,6 @@ class CachedSystem:
     def uncached(self):
         """The wrapped system (checkpoint fingerprints see through this)."""
         return self._system
-
-    @property
-    def max_entries(self) -> Optional[int]:
-        return self._max_entries
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
@@ -259,8 +240,6 @@ class CachedSystem:
         entry = table.get(state, _MISS)
         if entry is not _MISS:
             self._counters.hits += 1
-            if self._max_entries is not None:
-                table.move_to_end(state)
             return entry
         self._counters.misses += 1
         state = self.intern(state)
@@ -268,7 +247,7 @@ class CachedSystem:
             (action, self.intern(child))
             for action, child in self._system.successors(state)
         ]
-        self._store(table, state, entry)
+        table[state] = entry
         return entry
 
     def failed_at(self, state: GlobalState) -> frozenset[int]:
@@ -276,13 +255,11 @@ class CachedSystem:
         entry = table.get(state, _MISS)
         if entry is not _MISS:
             self._counters.hits += 1
-            if self._max_entries is not None:
-                table.move_to_end(state)
             return entry
         self._counters.misses += 1
         state = self.intern(state)
         entry = self._system.failed_at(state)
-        self._store(table, state, entry)
+        table[state] = entry
         return entry
 
     def decisions(self, state: GlobalState) -> dict:
@@ -290,13 +267,11 @@ class CachedSystem:
         entry = table.get(state, _MISS)
         if entry is not _MISS:
             self._counters.hits += 1
-            if self._max_entries is not None:
-                table.move_to_end(state)
             return entry
         self._counters.misses += 1
         state = self.intern(state)
         entry = self._system.decisions(state)
-        self._store(table, state, entry)
+        table[state] = entry
         return entry
 
     def nonfaulty_under(self, action: Hashable) -> frozenset[int]:
@@ -308,12 +283,6 @@ class CachedSystem:
         entry = self._system.nonfaulty_under(action)
         self._nonfaulty[action] = entry
         return entry
-
-    def _store(self, table: OrderedDict, state: GlobalState, entry) -> None:
-        table[state] = entry
-        if self._max_entries is not None and len(table) > self._max_entries:
-            table.popitem(last=False)
-            self._counters.evictions += 1
 
     # -- bookkeeping --------------------------------------------------------
     def stats(self) -> CacheStats:
@@ -336,16 +305,15 @@ class CachedSystem:
         self._nonfaulty.clear()
         self._interned.clear()
 
-    # -- pickling: configuration travels, contents do not --------------------
+    # -- pickling: the wrapped system travels, contents do not --------------
     def __getstate__(self) -> dict:
-        return {"system": self._system, "max_entries": self._max_entries}
+        return {"system": self._system}
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(state["system"], max_entries=state["max_entries"])
+        self.__init__(state["system"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        bound = self._max_entries if self._max_entries is not None else "inf"
-        return f"CachedSystem({self._system!r}, max_entries={bound})"
+        return f"CachedSystem({self._system!r})"
 
 
 #: Internal sentinel distinguishing "not cached" from cached falsy values
@@ -353,16 +321,15 @@ class CachedSystem:
 _MISS = object()
 
 #: The ``cache=`` parameter type accepted across engines and drivers.
-CacheSpec = Union[None, bool, int, CachedSystem]
+CacheSpec = Union[None, bool, CachedSystem]
 
 
 def resolve_cache(system, cache: CacheSpec):
     """Apply a ``cache=`` specification to a system.
 
     * ``None`` / ``False`` — return *system* unchanged (no caching);
-    * ``True`` — wrap in an unbounded :class:`CachedSystem` (reusing
-      *system* itself if it is already cached);
-    * an ``int`` — wrap with that LRU bound per memo table;
+    * ``True`` — wrap in a :class:`CachedSystem` (reusing *system* itself
+      if it is already cached);
     * a :class:`CachedSystem` — use it as the (caller-shared) cache; it
       must wrap this very system.
     """
@@ -375,8 +342,10 @@ def resolve_cache(system, cache: CacheSpec):
                 "being analyzed"
             )
         return cache
+    if cache is not True:
+        raise TypeError(
+            f"cache= takes a bool or a CachedSystem, not {cache!r}"
+        )
     if isinstance(system, CachedSystem):
         return system
-    if cache is True:
-        return CachedSystem(system)
-    return CachedSystem(system, max_entries=int(cache))
+    return CachedSystem(system)

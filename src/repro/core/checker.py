@@ -55,13 +55,14 @@ validate the checker itself.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.run import Execution, RunWitness
 from repro.core.state import GlobalState
+from repro.core.valence import all_nonfailed_decided
 from repro.resilience.budget import (
     DEFAULT_BUDGET,
     Budget,
@@ -194,9 +195,9 @@ class ConsensusChecker:
             assignment.  Exhausting it yields an ``UNKNOWN`` report
             carrying statistics and a resumable checkpoint.
         cache: memoize the successor system (see
-            :func:`repro.core.cache.resolve_cache`): ``True`` for an
-            unbounded cache shared across every assignment this checker
-            sweeps, an int for an LRU bound, or a prebuilt
+            :func:`repro.core.cache.resolve_cache`): ``True`` for a
+            cache shared across every assignment this checker
+            sweeps, or a prebuilt
             :class:`~repro.core.cache.CachedSystem` shared with other
             engines.  Verdicts, witnesses and checkpoints are identical
             either way; in a parallel ``check_all`` each worker warms its
@@ -240,15 +241,14 @@ class ConsensusChecker:
             # Ctrl-C during the probe degrades exactly like Ctrl-C during
             # the BFS it guards: UNKNOWN with a zero-progress checkpoint.
             meter = self._budget.meter()
-            return self._unknown_report(
-                inputs,
+            frontier = Frontier(
                 {root: None for root in root_list},
                 deque(root_list),
                 set(),
                 {},
-                meter,
                 meter.mark_interrupted(),
             )
+            return self._unknown_report(inputs, frontier, meter)
         if report is None or report.ok:
             return None
         return ConsensusReport(
@@ -496,152 +496,62 @@ class ConsensusChecker:
         meter: BudgetMeter,
         checkpoint: Optional[ExplorationCheckpoint],
     ) -> ConsensusReport:
-        system = self._system
-        input_values = frozenset(inputs)
-
+        frontier = None
         if checkpoint is not None:
-            checkpoint.validate_for(system, inputs)
-            parent = checkpoint.parent
-            queue: deque[GlobalState] = deque(checkpoint.queue)
-            terminal = checkpoint.terminal
-            edges = checkpoint.edges
-        else:
-            parent = {initial_state: None}
-            queue = deque([initial_state])
-            terminal = set()
-            edges = {}
-            meter.charge_state(initial_state)
-
-            problem = self._state_problem(initial_state, input_values)
-            if problem is not None:
-                return self._safety_report(
-                    problem[0], initial_state, parent, inputs, problem[1], 1
-                )
-
-        while queue:
-            tripped = meter.poll()
-            if tripped is not None:
-                return self._unknown_report(
-                    inputs, parent, queue, terminal, edges, meter, tripped
-                )
-            state = queue.popleft()
-            try:
-                if self._all_nonfailed_decided(state):
-                    terminal.add(state)
-                    continue
-                succs = system.successors(state)
-                edges[state] = succs
-                for action, child in succs:
-                    meter.charge_edge()
-                    fresh = child not in parent
-                    if fresh:
-                        parent[child] = (state, action)
-                        meter.charge_state(child)
-                    write_once = self._write_once_problem(state, child)
-                    if write_once is not None:
-                        # Witness the edge it was SEEN on: the BFS parent
-                        # of an already-discovered child may reach it by a
-                        # path on which the register never held the old
-                        # value, which would not replay.
-                        return self._safety_report(
-                            Verdict.WRITE_ONCE,
-                            state,
-                            parent,
-                            inputs,
-                            write_once,
-                            len(parent),
-                            via=(action, child),
-                        )
-                    problem = self._state_problem(child, input_values)
-                    if problem is not None:
-                        return self._safety_report(
-                            problem[0],
-                            child,
-                            parent,
-                            inputs,
-                            problem[1],
-                            len(parent),
-                        )
-                    if fresh:
-                        queue.append(child)
-            except KeyboardInterrupt:
-                # Re-queue the half-processed state (re-processing it on
-                # resume is idempotent) and degrade to a checkpoint.
-                queue.appendleft(state)
-                return self._unknown_report(
-                    inputs,
-                    parent,
-                    queue,
-                    terminal,
-                    edges,
-                    meter,
-                    meter.mark_interrupted(),
-                )
-
-        try:
-            lasso = self._find_undecided_lasso(
-                initial_state, edges, terminal, meter
+            checkpoint.validate_for(self._system, inputs)
+            frontier = Frontier(
+                checkpoint.parent,
+                deque(checkpoint.queue),
+                checkpoint.terminal,
+                checkpoint.edges,
             )
-        except KeyboardInterrupt:
-            return self._unknown_report(
-                inputs,
-                parent,
-                queue,
-                terminal,
-                edges,
-                meter,
-                meter.mark_interrupted(),
-            )
-        if lasso == "tripped":
-            return self._unknown_report(
-                inputs, parent, queue, terminal, edges, meter, meter.tripped
-            )
-        if lasso is not None:
-            prefix, cycle = lasso
+        input_values = frozenset(inputs)
+        outcome = explore_problem(
+            self._system,
+            initial_state,
+            lambda state: self._state_problem(state, input_values),
+            meter,
+            frontier,
+        )
+        if isinstance(outcome, Violation):
             return ConsensusReport(
-                verdict=Verdict.DECISION,
+                verdict=outcome.verdict,
                 inputs=inputs,
-                execution=prefix,
-                cycle=cycle,
-                detail=(
-                    "fair infinite run on which some non-failed process "
-                    "never decides"
+                execution=outcome.execution,
+                cycle=outcome.cycle,
+                detail=outcome.detail,
+                states_explored=outcome.explored,
+                budget_stats=(
+                    meter.stats() if outcome.cycle is not None else None
                 ),
-                states_explored=len(parent),
-                budget_stats=meter.stats(),
             )
+        if outcome.limit is not None:
+            return self._unknown_report(inputs, outcome, meter)
         return ConsensusReport(
             verdict=Verdict.SATISFIED,
             inputs=None,
             execution=None,
             cycle=None,
             detail="all runs decide, agree and are valid",
-            states_explored=len(parent),
+            states_explored=len(outcome.parent),
             budget_stats=meter.stats(),
         )
 
     def _unknown_report(
-        self,
-        inputs: tuple,
-        parent: dict,
-        queue: deque,
-        terminal: set,
-        edges: dict,
-        meter: BudgetMeter,
-        tripped: Optional[str],
+        self, inputs: tuple, frontier: Frontier, meter: BudgetMeter
     ) -> ConsensusReport:
         """Build the graceful-degradation report."""
         crashpoint("checker.budget.trip")
-        stats = meter.stats(frontier=len(queue))
+        stats = meter.stats(frontier=len(frontier.queue))
         cp = ExplorationCheckpoint(
             fingerprint=system_fingerprint(self._system),
             inputs=inputs,
-            parent=parent,
-            queue=list(queue),
-            terminal=terminal,
-            edges=edges,
-            limit=tripped,
-            states_seen=len(parent),
+            parent=frontier.parent,
+            queue=list(frontier.queue),
+            terminal=frontier.terminal,
+            edges=frontier.edges,
+            limit=frontier.limit,
+            states_seen=len(frontier.parent),
         )
         return ConsensusReport(
             verdict=Verdict.UNKNOWN,
@@ -653,28 +563,20 @@ class ConsensusChecker:
                 "before the budget tripped (resume from the checkpoint "
                 "to continue)"
             ),
-            states_explored=len(parent),
+            states_explored=len(frontier.parent),
             budget_stats=stats,
             checkpoint=cp,
         )
 
-    def _nonfailed_decisions(self, state: GlobalState) -> dict[int, Hashable]:
+    def _state_problem(
+        self, state: GlobalState, input_values: frozenset
+    ) -> Optional[tuple[Verdict, str]]:
         failed = self._system.failed_at(state)
-        return {
+        decisions = {
             i: v
             for i, v in self._system.decisions(state).items()
             if i not in failed
         }
-
-    def _all_nonfailed_decided(self, state: GlobalState) -> bool:
-        failed = self._system.failed_at(state)
-        decided = self._system.decisions(state)
-        return all(i in decided for i in range(state.n) if i not in failed)
-
-    def _state_problem(
-        self, state: GlobalState, input_values: frozenset
-    ) -> Optional[tuple[Verdict, str]]:
-        decisions = self._nonfailed_decisions(state)
         distinct = set(decisions.values())
         if len(distinct) > 1:
             return (
@@ -689,119 +591,224 @@ class ConsensusChecker:
                 )
         return None
 
-    def _write_once_problem(
-        self, state: GlobalState, child: GlobalState
-    ) -> Optional[str]:
-        before = self._system.decisions(state)
-        after = self._system.decisions(child)
-        for i, v in before.items():
-            if after.get(i) != v:
-                return (
-                    f"process {i}'s decision changed from {v!r} to "
-                    f"{after.get(i)!r}"
-                )
-        return None
 
-    def _safety_report(
-        self,
-        verdict: Verdict,
-        state: GlobalState,
-        parent: dict,
-        inputs: tuple,
-        detail: str,
-        explored: int,
-        via: Optional[tuple] = None,
-    ) -> ConsensusReport:
-        execution = _path_to(state, parent)
-        if via is not None:
-            # Append the specific offending edge (action, child) so the
-            # witness demonstrates the violation on the very transition
-            # it was detected on, not on the BFS discovery path.
-            action, child = via
-            execution = Execution(
-                execution.states + (child,), execution.actions + (action,)
+@dataclass(frozen=True)
+class Violation:
+    """A refutation found by :func:`explore_problem`: the verdict, its
+    replayable witness (the path to the violating state or edge, or a
+    lasso's prefix and ``cycle``) and the states explored so far."""
+
+    verdict: Verdict
+    execution: Execution
+    cycle: Optional[Execution]
+    detail: str
+    explored: int
+
+
+@dataclass
+class Frontier:
+    """The graph :func:`explore_problem` explored without finding a
+    violation: BFS parent pointers, the queue still to expand, the
+    terminal states and the expanded states' successor lists.
+
+    ``limit`` is None when the graph is complete, else the budget limit
+    that stopped the search (``"interrupted"`` for Ctrl-C); passing the
+    frontier back to :func:`explore_problem` resumes it exactly.
+    """
+
+    parent: dict
+    queue: deque
+    terminal: set
+    edges: dict
+    limit: Optional[str] = None
+
+
+def explore_problem(
+    system,
+    initial_state: GlobalState,
+    problem: Callable[[GlobalState], Optional[tuple[Verdict, str]]],
+    meter: BudgetMeter,
+    frontier: Optional[Frontier] = None,
+) -> Violation | Frontier:
+    """Search every run from *initial_state* for a violation.
+
+    Breadth-first over *system*, stopping at terminal states: every
+    generated state is checked against *problem* (a ``(verdict,
+    detail)`` pair, or None when the state is fine) and every edge
+    against write-once decisions; when the graph is complete, the lasso
+    search looks for a fair run starving a nonfaulty process.  Returns
+    the first :class:`Violation`, or the :class:`Frontier` — complete,
+    or stopped by a tripped *meter* or Ctrl-C.  A *frontier* from an
+    earlier stopped call resumes that search.
+    """
+    if frontier is None:
+        frontier = Frontier({initial_state: None}, deque([initial_state]), set(), {})
+        meter.charge_state(initial_state)
+        found = problem(initial_state)
+        if found is not None:
+            return Violation(
+                found[0], _path_to(initial_state, frontier.parent), None,
+                found[1], 1,
             )
-        return ConsensusReport(
-            verdict=verdict,
-            inputs=inputs,
-            execution=execution,
-            cycle=None,
-            detail=detail,
-            states_explored=explored,
+    frontier.limit = None
+    parent = frontier.parent
+    queue = frontier.queue
+    terminal = frontier.terminal
+    edges = frontier.edges
+    while queue:
+        tripped = meter.poll()
+        if tripped is not None:
+            frontier.limit = tripped
+            return frontier
+        state = queue.popleft()
+        try:
+            if all_nonfailed_decided(system, state):
+                terminal.add(state)
+                continue
+            succs = system.successors(state)
+            edges[state] = succs
+            for action, child in succs:
+                meter.charge_edge()
+                fresh = child not in parent
+                if fresh:
+                    parent[child] = (state, action)
+                    meter.charge_state(child)
+                overwritten = _write_once_problem(system, state, child)
+                if overwritten is not None:
+                    # Witness the edge it was SEEN on: the BFS parent of
+                    # an already-discovered child may reach it by a path
+                    # on which the register never held the old value,
+                    # which would not replay.
+                    path = _path_to(state, parent)
+                    return Violation(
+                        Verdict.WRITE_ONCE,
+                        Execution(
+                            path.states + (child,), path.actions + (action,)
+                        ),
+                        None,
+                        overwritten,
+                        len(parent),
+                    )
+                found = problem(child)
+                if found is not None:
+                    return Violation(
+                        found[0], _path_to(child, parent), None, found[1],
+                        len(parent),
+                    )
+                if fresh:
+                    queue.append(child)
+        except KeyboardInterrupt:
+            # Re-queue the half-processed state (re-processing it on
+            # resume is idempotent) and degrade to a resumable frontier.
+            queue.appendleft(state)
+            frontier.limit = meter.mark_interrupted()
+            return frontier
+    try:
+        lasso = _find_undecided_lasso(
+            system, initial_state, edges, terminal, meter
         )
+    except KeyboardInterrupt:
+        frontier.limit = meter.mark_interrupted()
+        return frontier
+    if lasso == "tripped":
+        frontier.limit = meter.tripped
+        return frontier
+    if lasso is not None:
+        prefix, cycle = lasso
+        return Violation(
+            Verdict.DECISION,
+            prefix,
+            cycle,
+            "fair infinite run on which some non-failed process never decides",
+            len(parent),
+        )
+    return frontier
 
-    def _find_undecided_lasso(
-        self,
-        initial_state: GlobalState,
-        edges: dict[GlobalState, list[tuple[Hashable, GlobalState]]],
-        terminal: set[GlobalState],
-        meter: Optional[BudgetMeter] = None,
-    ):
-        """A fair infinite run starving a nonfaulty process, as a lasso.
 
-        For each process ``i`` we restrict the explored graph to the edges
-        along which ``i`` stays nonfaulty (``nonfaulty_under`` on the
-        action, non-failed at the endpoint) between states where ``i`` is
-        undecided, and look for any cycle.  A cycle there, looped forever,
-        is a run in which ``i`` is nonfaulty and never decides — a genuine
-        violation of the decision requirement.  Decisions are write-once,
-        so restricting to ``i``-undecided states loses nothing; and the
-        per-process decomposition is complete: any violating run starves
-        some specific nonfaulty process.  The prefix from the initial
-        state to the cycle may use arbitrary edges.
+def _write_once_problem(
+    system, state: GlobalState, child: GlobalState
+) -> Optional[str]:
+    before = system.decisions(state)
+    after = system.decisions(child)
+    for i, v in before.items():
+        if after.get(i) != v:
+            return (
+                f"process {i}'s decision changed from {v!r} to "
+                f"{after.get(i)!r}"
+            )
+    return None
 
-        Returns the ``(prefix, cycle)`` pair, None when no process can be
-        starved, or the sentinel string ``"tripped"`` when the wall-clock
-        budget ran out between per-process passes (the BFS is already
-        complete at that point, so a resumed run redoes only this phase).
-        """
-        system = self._system
-        n = initial_state.n
-        for i in range(n):
-            if meter is not None and meter.poll() is not None:
-                return "tripped"
-            restricted: dict[GlobalState, list[tuple[Hashable, GlobalState]]] = {}
-            for state, succs in edges.items():
-                if i in system.decisions(state) or i in system.failed_at(state):
-                    continue
-                kept = [
-                    (action, child)
-                    for action, child in succs
-                    if child not in terminal
-                    and i in system.nonfaulty_under(action)
-                    and i not in system.failed_at(child)
-                    and i not in system.decisions(child)
-                ]
-                if kept:
-                    restricted[state] = kept
-            cycle = _find_cycle(restricted)
-            if cycle is not None:
-                prefix = self._prefix_to(initial_state, cycle.initial, edges)
-                if prefix is not None:
-                    return prefix, cycle
-        return None
 
-    def _prefix_to(
-        self,
-        initial_state: GlobalState,
-        target: GlobalState,
-        edges: dict[GlobalState, list[tuple[Hashable, GlobalState]]],
-    ) -> Optional[Execution]:
-        """BFS a path from the initial state to *target* in the full graph."""
-        if initial_state == target:
-            return Execution((initial_state,), ())
-        parent: dict[GlobalState, tuple] = {initial_state: None}
-        queue: deque[GlobalState] = deque([initial_state])
-        while queue:
-            state = queue.popleft()
-            for action, child in edges.get(state, ()):
-                if child in parent:
-                    continue
-                parent[child] = (state, action)
-                if child == target:
-                    return _path_to(child, parent)
-                queue.append(child)
-        return None
+def _find_undecided_lasso(
+    system,
+    initial_state: GlobalState,
+    edges: dict[GlobalState, list[tuple[Hashable, GlobalState]]],
+    terminal: set[GlobalState],
+    meter: BudgetMeter,
+):
+    """A fair infinite run starving a nonfaulty process, as a lasso.
+
+    For each process ``i`` we restrict the explored graph to the edges
+    along which ``i`` stays nonfaulty (``nonfaulty_under`` on the
+    action, non-failed at the endpoint) between states where ``i`` is
+    undecided, and look for any cycle.  A cycle there, looped forever,
+    is a run in which ``i`` is nonfaulty and never decides — a genuine
+    violation of the decision requirement.  Decisions are write-once,
+    so restricting to ``i``-undecided states loses nothing; and the
+    per-process decomposition is complete: any violating run starves
+    some specific nonfaulty process.  The prefix from the initial
+    state to the cycle may use arbitrary edges.
+
+    Returns the ``(prefix, cycle)`` pair, None when no process can be
+    starved, or the sentinel string ``"tripped"`` when the wall-clock
+    budget ran out between per-process passes (the BFS is already
+    complete at that point, so a resumed run redoes only this phase).
+    """
+    for i in range(initial_state.n):
+        if meter.poll() is not None:
+            return "tripped"
+        restricted: dict[GlobalState, list[tuple[Hashable, GlobalState]]] = {}
+        for state, succs in edges.items():
+            if i in system.decisions(state) or i in system.failed_at(state):
+                continue
+            kept = [
+                (action, child)
+                for action, child in succs
+                if child not in terminal
+                and i in system.nonfaulty_under(action)
+                and i not in system.failed_at(child)
+                and i not in system.decisions(child)
+            ]
+            if kept:
+                restricted[state] = kept
+        cycle = _find_cycle(restricted)
+        if cycle is not None:
+            prefix = _prefix_to(initial_state, cycle.initial, edges)
+            if prefix is not None:
+                return prefix, cycle
+    return None
+
+
+def _prefix_to(
+    initial_state: GlobalState,
+    target: GlobalState,
+    edges: dict[GlobalState, list[tuple[Hashable, GlobalState]]],
+) -> Optional[Execution]:
+    """BFS a path from the initial state to *target* in the full graph."""
+    if initial_state == target:
+        return Execution((initial_state,), ())
+    parent: dict[GlobalState, tuple] = {initial_state: None}
+    queue: deque[GlobalState] = deque([initial_state])
+    while queue:
+        state = queue.popleft()
+        for action, child in edges.get(state, ()):
+            if child in parent:
+                continue
+            parent[child] = (state, action)
+            if child == target:
+                return _path_to(child, parent)
+            queue.append(child)
+    return None
 
 
 def _path_to(state: GlobalState, parent: dict) -> Execution:

@@ -43,10 +43,12 @@ values reachable from states inside a cycle.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
+from collections.abc import Callable, Container, Hashable
 from dataclasses import dataclass
+
 from repro.core.state import GlobalState
-from repro.resilience.budget import DEFAULT_BUDGET, Budget
+from repro.resilience.budget import DEFAULT_BUDGET, Budget, BudgetMeter
+from repro.util.graphs import strongly_connected_components
 
 
 class ExplorationLimitExceeded(RuntimeError):
@@ -70,6 +72,82 @@ class ExplorationLimitExceeded(RuntimeError):
     def __init__(self, *args, shard: "int | None" = None):
         super().__init__(*args)
         self.shard = shard
+
+
+def all_nonfailed_decided(system, state: GlobalState) -> bool:
+    """Whether every process non-failed at *state* has decided.
+
+    Every engine stops exploring at such a *terminal* state: decisions
+    are write-once and the failed set only grows, so beyond it no new
+    value can be decided by a process that is non-failed anywhere on the
+    extension.
+    """
+    failed = system.failed_at(state)
+    decided = system.decisions(state)
+    return all(i in decided for i in range(state.n) if i not in failed)
+
+
+#: An explored region: each state's distinct children in first-seen
+#: order, each with the layer actions that lead to it (see
+#: :func:`explore_region`).
+Region = dict[GlobalState, dict[GlobalState, list]]
+
+
+def explore_region(
+    system,
+    root: GlobalState,
+    meter: BudgetMeter,
+    known: Container[GlobalState],
+    exhausted: Callable[[str], Exception],
+) -> Region:
+    """Depth-first, the region below *root*: every state reachable from it
+    without expanding a terminal state (:func:`all_nonfailed_decided`) or
+    a *known* one (whose result the caller has memoized).
+
+    Maps every reached state to its distinct children in first-seen
+    order, each with the actions that lead to it; a stopped state maps to
+    ``{}``.  Each reached state and each generated edge is charged to
+    *meter*; when a limit trips, it raises ``exhausted(limit)``.
+    """
+    region: Region = {}
+    stack = [root]
+    seen = {root}
+    expanded = 0
+    tripped = meter.charge_state(root)
+    while stack and tripped is None:
+        state = stack.pop()
+        if state in known or all_nonfailed_decided(system, state):
+            region[state] = {}
+            continue
+        children: dict[GlobalState, list] = {}
+        for action, child in system.successors(state):
+            tripped = meter.charge_edge()
+            if tripped is not None:
+                # Raise at the charge site: waiting for the
+                # every-256-states poll would let a single high-degree
+                # expansion overshoot the edge budget by an entire layer.
+                raise exhausted(tripped)
+            actions = children.get(child)
+            if actions is None:
+                children[child] = [action]
+            else:
+                actions.append(action)
+        if not children:
+            raise AssertionError(
+                "successor functions are total: a non-terminal state "
+                "must have successors"
+            )
+        region[state] = children
+        expanded += 1
+        tripped = meter.poll() if (expanded & 0xFF) == 0 else None
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                tripped = meter.charge_state(child) or tripped
+                stack.append(child)
+    if tripped is not None:
+        raise exhausted(tripped)
+    return region
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,8 +217,8 @@ class ValenceAnalyzer:
             walks and lemma drivers act on valence verdicts, and a
             truncated valence would make their proofs unsound.
         cache: memoize the successor system (see
-            :func:`repro.core.cache.resolve_cache`): ``True`` for an
-            unbounded cache, an int for an LRU bound, or a prebuilt
+            :func:`repro.core.cache.resolve_cache`): ``True`` for a
+            private cache, or a prebuilt
             :class:`~repro.core.cache.CachedSystem` shared with other
             engines analyzing the same system.  Results are identical
             either way.
@@ -178,15 +256,9 @@ class ValenceAnalyzer:
         )
 
     def is_terminal(self, state: GlobalState) -> bool:
-        """All non-failed processes have decided — exploration stops here.
-
-        Decisions are write-once and the failed set only grows, so beyond
-        a terminal state no new value can be decided by a process that is
-        non-failed anywhere on the extension.
-        """
-        failed = self._system.failed_at(state)
-        decided = self._system.decisions(state)
-        return all(i in decided for i in range(state.n) if i not in failed)
+        """All non-failed processes have decided — exploration stops here
+        (see :func:`all_nonfailed_decided`)."""
+        return all_nonfailed_decided(self._system, state)
 
     # -- queries --------------------------------------------------------------
     def valence(self, state: GlobalState) -> ValenceResult:
@@ -206,7 +278,10 @@ class ValenceAnalyzer:
 
     # -- the SCC/condensation pass ---------------------------------------------
     def _analyze(self, root: GlobalState) -> ValenceResult:
-        self._tarjan_fold(root, self._explore(root))
+        region = explore_region(
+            self._system, root, self._meter, self._memo, self._exhausted
+        )
+        self._tarjan_fold(root, region)
         return self._memo[root]
 
     def _exhausted(self, tripped: str) -> ExplorationLimitExceeded:
@@ -215,117 +290,26 @@ class ValenceAnalyzer:
             f"{self._meter.states} states; is the protocol finite-state?"
         )
 
-    def _explore(
-        self, root: GlobalState
-    ) -> dict[GlobalState, tuple[GlobalState, ...]]:
-        """Build the reachable subgraph, stopping at terminal/memoized
-        states; raise :class:`ExplorationLimitExceeded` if the budget
-        trips first."""
-        meter = self._meter
-        succ: dict[GlobalState, tuple[GlobalState, ...]] = {}
-        stack = [root]
-        seen = {root}
-        meter.charge_state(root)
-        while stack:
-            state = stack.pop()
-            if state in self._memo:
-                continue
-            if self.is_terminal(state):
-                self._memo[state] = ValenceResult(self.own_values(state), False)
-                continue
-            children = []
-            child_seen = set()
-            for _, child in self._system.successors(state):
-                tripped = meter.charge_edge()
-                if tripped is not None:
-                    # Raise at the charge site: waiting for the
-                    # every-256-states poll would let a single
-                    # high-degree expansion overshoot the edge budget by
-                    # an entire layer.
-                    raise self._exhausted(tripped)
-                if child not in child_seen:
-                    child_seen.add(child)
-                    children.append(child)
-            if not children:
-                raise AssertionError(
-                    "successor functions are total: a non-terminal state "
-                    "must have successors"
-                )
-            succ[state] = tuple(children)
-            tripped = meter.poll() if (len(succ) & 0xFF) == 0 else None
-            for child in children:
-                if child not in seen:
-                    seen.add(child)
-                    tripped = meter.charge_state(child) or tripped
-                    stack.append(child)
-            if tripped is not None:
-                raise self._exhausted(tripped)
-        return succ
+    def _tarjan_fold(self, root: GlobalState, region: Region) -> None:
+        """Fold values/divergence over the condensation of *region*.
 
-    def _tarjan_fold(
-        self,
-        root: GlobalState,
-        succ: dict[GlobalState, tuple[GlobalState, ...]],
-    ) -> None:
-        """Iterative Tarjan; fold values/divergence over the condensation.
-
-        Tarjan emits each SCC only after every SCC reachable from it, so
-        results for cross-SCC successors are always finalized when an SCC
-        is folded.  All members of an SCC share one result: the union of
-        their own values and of their external successors' values; they
-        diverge iff the SCC is cyclic (size > 1 or a self-loop — an
+        Components arrive only after every component reachable from them,
+        so results for cross-SCC successors are always finalized when an
+        SCC is folded.  All members of an SCC share one result: the union
+        of their own values and of their external successors' values;
+        they diverge iff the SCC is cyclic (size > 1 or a self-loop — an
         undecided infinite loop) or any external successor diverges.
         """
-        if root in self._memo:
-            return
-        index: dict[GlobalState, int] = {}
-        lowlink: dict[GlobalState, int] = {}
-        on_stack: set[GlobalState] = set()
-        scc_stack: list[GlobalState] = []
-        counter = 0
+        memo = self._memo
 
-        def push(state: GlobalState) -> None:
-            nonlocal counter
-            index[state] = lowlink[state] = counter
-            counter += 1
-            scc_stack.append(state)
-            on_stack.add(state)
-            work.append((state, iter(succ.get(state, ()))))
+        def successors(state: GlobalState):
+            return (child for child in region[state] if child not in memo)
 
-        work: list[tuple[GlobalState, "object"]] = []
-        push(root)
-        while work:
-            state, children = work[-1]
-            advanced = False
-            for child in children:
-                if child in self._memo:
-                    continue
-                if child not in index:
-                    push(child)
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[state] = min(lowlink[state], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[state])
-            if lowlink[state] == index[state]:
-                component = []
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == state:
-                        break
-                self._fold_component(component, succ)
+        for component in strongly_connected_components([root], successors):
+            self._fold_component(component, region)
 
     def _fold_component(
-        self,
-        component: list[GlobalState],
-        succ: dict[GlobalState, tuple[GlobalState, ...]],
+        self, component: list[GlobalState], region: Region
     ) -> None:
         members = set(component)
         values: set = set()
@@ -334,7 +318,7 @@ class ValenceAnalyzer:
         diverges = len(component) > 1
         for state in component:
             values |= self.own_values(state)
-            for child in succ.get(state, ()):
+            for child in region[state]:
                 if child in members:
                     if child == state:
                         diverges = True

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.state import GlobalState
+from repro.core.valence import all_nonfailed_decided
 from repro.lint.engine import LintFinding, register_contract_rule
 
 RP201 = register_contract_rule(
@@ -229,7 +230,7 @@ class _Probe:
         if (
             not succs
             and self.enabled(RP202)
-            and not self._all_nonfailed_decided(state)
+            and not all_nonfailed_decided(self.system, state)
         ):
             self.record(
                 RP202,
@@ -253,13 +254,6 @@ class _Probe:
                     ContractWitness(state, action, child),
                 )
                 return
-
-    def _all_nonfailed_decided(self, state: GlobalState) -> bool:
-        failed = self.system.failed_at(state)
-        decided = self.system.decisions(state)
-        return all(
-            i in decided for i in range(state.n) if i not in failed
-        )
 
     def check_edges(self, state: GlobalState, succs: list) -> None:
         check_failed = self.enabled(RP203)

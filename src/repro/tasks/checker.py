@@ -20,17 +20,15 @@ facets in the output complex).
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.cache import CacheSpec, resolve_cache
-from repro.core.checker import ConsensusChecker, Verdict
+from repro.core.checker import Verdict, Violation, explore_problem
 from repro.core.run import Execution
 from repro.core.state import GlobalState
 from repro.core.valence import ExplorationLimitExceeded
-from repro.resilience.budget import DEFAULT_BUDGET, Budget
+from repro.resilience.budget import DEFAULT_BUDGET, LIMIT_INTERRUPTED, Budget
 from repro.tasks.problem import DecisionProblem
 from repro.tasks.simplex import Simplex
 
@@ -64,15 +62,20 @@ class TaskReport:
 class TaskChecker:
     """Exhaustively check decision + validity for a decision problem.
 
-    Reuses the consensus checker's exploration and lasso machinery; only
-    the state-level safety predicate differs (Δ-membership instead of
-    agreement/value-validity).
+    Runs the consensus checker's search,
+    :func:`repro.core.checker.explore_problem` (safety BFS with the
+    write-once guard, then the lasso search for starved processes); only
+    the state-level problem differs: Δ-membership instead of
+    agreement/value-validity.  Witnesses therefore have the consensus
+    checker's shape, e.g. a write-once violation ends on the very edge
+    that overwrote the decision.
 
     ``budget`` is the :class:`~repro.resilience.Budget` charged per
     input facet.  Exhaustion raises
     :class:`~repro.core.valence.ExplorationLimitExceeded` (the
     solvability drivers interpret a SATISFIED report as a solvability
-    claim, which a silently truncated search cannot support).
+    claim, which a silently truncated search cannot support); Ctrl-C
+    propagates as ``KeyboardInterrupt``.
 
     ``cache`` memoizes the system's successor/failure/decision queries
     (see :func:`repro.core.cache.resolve_cache`); reports are identical
@@ -126,69 +129,27 @@ class TaskChecker:
         refused = self._preflight_gate([initial_state], input_facet)
         if refused is not None:
             return refused
-        system = self._system
-        problem = self._problem
-        helper = ConsensusChecker(system, self._budget)
-        meter = self._budget.meter()
-        parent: dict[GlobalState, Optional[tuple]] = {initial_state: None}
-        queue: deque[GlobalState] = deque([initial_state])
-        terminal: set[GlobalState] = set()
-        edges: dict[GlobalState, list[tuple[Hashable, GlobalState]]] = {}
-        meter.charge_state(initial_state)
-
-        problem_detail = self._validity_problem(initial_state, input_facet)
-        if problem_detail is not None:
-            return self._report(
-                Verdict.VALIDITY, input_facet, initial_state, parent,
-                problem_detail, 1,
-            )
-
-        while queue:
-            tripped = meter.poll()
-            if tripped is not None:
-                raise ExplorationLimitExceeded(
-                    f"task-check budget exhausted ({tripped}) after "
-                    f"{len(parent)} states from {input_facet!r}"
-                )
-            state = queue.popleft()
-            if helper._all_nonfailed_decided(state):
-                terminal.add(state)
-                continue
-            succs = system.successors(state)
-            edges[state] = succs
-            for action, child in succs:
-                meter.charge_edge()
-                fresh = child not in parent
-                if fresh:
-                    parent[child] = (state, action)
-                    meter.charge_state(child)
-                    queue.append(child)
-                write_once = helper._write_once_problem(state, child)
-                if write_once is not None:
-                    return self._report(
-                        Verdict.WRITE_ONCE, input_facet, child, parent,
-                        write_once, len(parent),
-                    )
-                detail = self._validity_problem(child, input_facet)
-                if detail is not None:
-                    return self._report(
-                        Verdict.VALIDITY, input_facet, child, parent,
-                        detail, len(parent),
-                    )
-
-        lasso = helper._find_undecided_lasso(initial_state, edges, terminal)
-        if lasso is not None:
-            prefix, cycle = lasso
+        outcome = explore_problem(
+            self._system,
+            initial_state,
+            lambda state: self._validity_problem(state, input_facet),
+            self._budget.meter(),
+        )
+        if isinstance(outcome, Violation):
             return TaskReport(
-                verdict=Verdict.DECISION,
+                verdict=outcome.verdict,
                 input_facet=input_facet,
-                execution=prefix,
-                cycle=cycle,
-                detail=(
-                    "fair infinite run on which some non-failed process "
-                    "never decides"
-                ),
-                states_explored=len(parent),
+                execution=outcome.execution,
+                cycle=outcome.cycle,
+                detail=outcome.detail,
+                states_explored=outcome.explored,
+            )
+        if outcome.limit == LIMIT_INTERRUPTED:
+            raise KeyboardInterrupt
+        if outcome.limit is not None:
+            raise ExplorationLimitExceeded(
+                f"task-check budget exhausted ({outcome.limit}) after "
+                f"{len(outcome.parent)} states from {input_facet!r}"
             )
         return TaskReport(
             verdict=Verdict.SATISFIED,
@@ -196,7 +157,7 @@ class TaskChecker:
             execution=None,
             cycle=None,
             detail="all runs decide and are valid",
-            states_explored=len(parent),
+            states_explored=len(outcome.parent),
         )
 
     def check_all(self, model) -> TaskReport:
@@ -230,31 +191,12 @@ class TaskChecker:
 
     def _validity_problem(
         self, state: GlobalState, input_facet: Simplex
-    ) -> Optional[str]:
+    ) -> Optional[tuple[Verdict, str]]:
         decided = self.decided_simplex(state)
         if not self._problem.acceptable(input_facet, decided):
             return (
+                Verdict.VALIDITY,
                 f"decided simplex {decided!r} not acceptable for input "
-                f"{input_facet!r}"
+                f"{input_facet!r}",
             )
         return None
-
-    def _report(
-        self,
-        verdict: Verdict,
-        input_facet: Simplex,
-        state: GlobalState,
-        parent: dict,
-        detail: str,
-        explored: int,
-    ) -> TaskReport:
-        from repro.core.checker import _path_to
-
-        return TaskReport(
-            verdict=verdict,
-            input_facet=input_facet,
-            execution=_path_to(state, parent),
-            cycle=None,
-            detail=detail,
-            states_explored=explored,
-        )

@@ -47,11 +47,20 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.core.state import GlobalState
-from repro.core.valence import ExplorationLimitExceeded
+from repro.core.valence import (
+    ExplorationLimitExceeded,
+    Region,
+    all_nonfailed_decided,
+    explore_region,
+)
 from repro.resilience.budget import DEFAULT_BUDGET, Budget
 from repro.tasks.complex import Complex
 from repro.tasks.simplex import Simplex
-from repro.util.graphs import Graph, is_connected
+from repro.util.graphs import (
+    Graph,
+    is_connected,
+    strongly_connected_components,
+)
 
 
 @dataclass(frozen=True)
@@ -131,70 +140,34 @@ class OutcomeAnalyzer:
         decisions = self._system.decisions(state)
         return Simplex((i, decisions[i]) for i in members if i in decisions)
 
-    def _is_terminal(self, state: GlobalState) -> bool:
-        failed = self._system.failed_at(state)
-        decided = self._system.decisions(state)
-        return all(i in decided for i in range(state.n) if i not in failed)
-
     # -- the three passes -------------------------------------------------------
     def _analyze(self, root: GlobalState) -> None:
-        succ, actions = self._explore(root)
-        base_out, base_div = self._base_outcomes(root.n, succ, actions)
-        self._propagate(root, succ, base_out, base_div)
-
-    def _explore(self, root: GlobalState):
         meter = self._meter
-        succ: dict[GlobalState, tuple] = {}
-        actions: dict[tuple[GlobalState, GlobalState], list] = {}
-        stack = [root]
-        seen = {root}
-        tripped = meter.charge_state(root)
-        while stack and tripped is None:
-            state = stack.pop()
-            if state in self._memo or self._is_terminal(state):
-                succ.setdefault(state, ())
-                continue
-            children = []
-            child_seen = set()
-            for action, child in self._system.successors(state):
-                tripped = meter.charge_edge()
-                if tripped is not None:
-                    # Stop at the charge site, as ValenceAnalyzer does: a
-                    # high-degree expansion must not overshoot the edge
-                    # budget by a whole layer.
-                    break
-                actions.setdefault((state, child), []).append(action)
-                if child not in child_seen:
-                    child_seen.add(child)
-                    children.append(child)
-            if tripped is not None:
-                break
-            succ[state] = tuple(children)
-            tripped = meter.poll() if (len(succ) & 0xFF) == 0 else None
-            for child in children:
-                if child not in seen:
-                    seen.add(child)
-                    tripped = meter.charge_state(child) or tripped
-                    stack.append(child)
-        if tripped is not None:
-            raise ExplorationLimitExceeded(
+        region = explore_region(
+            self._system,
+            root,
+            meter,
+            self._memo,
+            lambda tripped: ExplorationLimitExceeded(
                 f"outcome budget exhausted ({tripped}) after "
                 f"{meter.states} states"
-            )
-        return succ, actions
+            ),
+        )
+        base_out, base_div = self._base_outcomes(root.n, region)
+        self._propagate(root, region, base_out, base_div)
 
-    def _base_outcomes(self, n: int, succ, actions):
+    def _base_outcomes(self, n: int, region: Region):
         """Pass 2: terminal and settled-loop outcomes, divergence flags."""
         base_out: dict[GlobalState, set] = {}
         base_div: set[GlobalState] = set()
         system = self._system
-        for state in succ:
+        for state in region:
             if state in self._memo:
                 cached = self._memo[state]
                 base_out.setdefault(state, set()).update(cached.outcomes)
                 if cached.diverges:
                     base_div.add(state)
-            elif self._is_terminal(state):
+            elif all_nonfailed_decided(system, state):
                 failed = system.failed_at(state)
                 members = [i for i in range(n) if i not in failed]
                 base_out.setdefault(state, set()).add(
@@ -204,24 +177,21 @@ class OutcomeAnalyzer:
             frozenset(range(n)) - {j} for j in range(n)
         ]
         for target in candidates:
-            self._loop_pass(target, succ, actions, base_out, base_div)
+            self._loop_pass(target, region, base_out, base_div)
         return base_out, base_div
 
-    def _loop_pass(self, target, succ, actions, base_out, base_div) -> None:
+    def _loop_pass(self, target, region: Region, base_out, base_div) -> None:
         """Find cyclic SCCs of the target-preserving subgraph."""
         system = self._system
         sub: dict[GlobalState, list[GlobalState]] = {}
-        for state, children in succ.items():
+        for state, children in region.items():
             if state in self._memo or target & system.failed_at(state):
                 continue
             kept = []
-            for child in children:
+            for child, actions in children.items():
                 if child in self._memo or target & system.failed_at(child):
                     continue
-                if any(
-                    target <= system.nonfaulty_under(a)
-                    for a in actions[(state, child)]
-                ):
+                if any(target <= system.nonfaulty_under(a) for a in actions):
                     kept.append(child)
             if kept:
                 sub[state] = kept
@@ -233,7 +203,7 @@ class OutcomeAnalyzer:
                         # The loop's exact nonfaulty set intersects over
                         # the best available action per internal edge.
                         best = frozenset()
-                        for a in actions[(state, child)]:
+                        for a in region[state][child]:
                             nf = system.nonfaulty_under(a)
                             if target <= nf and len(nf) > len(best):
                                 best = nf
@@ -251,125 +221,39 @@ class OutcomeAnalyzer:
                 for state in component:
                     base_out.setdefault(state, set()).add(simplex)
 
-    def _propagate(self, root, succ, base_out, base_div) -> None:
+    def _propagate(self, root, region: Region, base_out, base_div) -> None:
         """Pass 3: fold bases backwards over the full-graph condensation."""
-        index: dict[GlobalState, int] = {}
-        lowlink: dict[GlobalState, int] = {}
-        on_stack: set[GlobalState] = set()
-        scc_stack: list[GlobalState] = []
-        counter = 0
-        work: list[tuple[GlobalState, object]] = []
-        results: dict[GlobalState, OutcomeResult] = {}
+        memo = self._memo
 
-        def push(state: GlobalState) -> None:
-            nonlocal counter
-            index[state] = lowlink[state] = counter
-            counter += 1
-            scc_stack.append(state)
-            on_stack.add(state)
-            work.append((state, iter(succ.get(state, ()))))
+        def successors(state: GlobalState):
+            return (child for child in region[state] if child not in memo)
 
-        if root in self._memo:
-            return
-        push(root)
-        while work:
-            state, children = work[-1]
-            advanced = False
-            for child in children:
-                if child in results or child in self._memo:
-                    continue
-                if child not in index:
-                    push(child)
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[state] = min(lowlink[state], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[state])
-            if lowlink[state] == index[state]:
-                component = []
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == state:
-                        break
-                outcomes: set = set()
-                diverges = False
-                members = set(component)
-                for m in component:
-                    outcomes |= base_out.get(m, set())
-                    diverges = diverges or m in base_div
-                    for child in succ.get(m, ()):
-                        if child in members:
-                            continue
-                        child_result = results.get(child) or self._memo[child]
-                        outcomes |= child_result.outcomes
-                        diverges = diverges or child_result.diverges
-                result = OutcomeResult(frozenset(outcomes), diverges)
-                for m in component:
-                    results[m] = result
-        self._memo.update(results)
+        for component in strongly_connected_components([root], successors):
+            outcomes: set = set()
+            diverges = False
+            members = set(component)
+            for m in component:
+                outcomes |= base_out.get(m, set())
+                diverges = diverges or m in base_div
+                for child in region[m]:
+                    if child in members:
+                        continue
+                    child_result = memo[child]
+                    outcomes |= child_result.outcomes
+                    diverges = diverges or child_result.diverges
+            result = OutcomeResult(frozenset(outcomes), diverges)
+            for m in component:
+                memo[m] = result
 
 
 def _cyclic_sccs(edges: dict[GlobalState, list[GlobalState]]):
     """SCCs of an explicit graph that contain a cycle (size > 1 or a
-    self-loop), via iterative Tarjan."""
-    index: dict[GlobalState, int] = {}
-    lowlink: dict[GlobalState, int] = {}
-    on_stack: set[GlobalState] = set()
-    scc_stack: list[GlobalState] = []
-    counter = 0
-    out: list[set[GlobalState]] = []
-    for root in list(edges):
-        if root in index:
-            continue
-        work: list[tuple[GlobalState, object]] = []
-
-        def push(state: GlobalState) -> None:
-            nonlocal counter
-            index[state] = lowlink[state] = counter
-            counter += 1
-            scc_stack.append(state)
-            on_stack.add(state)
-            work.append((state, iter(edges.get(state, ()))))
-
-        push(root)
-        while work:
-            state, children = work[-1]
-            advanced = False
-            for child in children:
-                if child not in edges and child not in index:
-                    continue
-                if child not in index:
-                    push(child)
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[state] = min(lowlink[state], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[state])
-            if lowlink[state] == index[state]:
-                component = set()
-                while True:
-                    member = scc_stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == state:
-                        break
-                if len(component) > 1 or any(
-                    state in edges.get(state, ()) for state in component
-                ):
-                    out.append(component)
-    return out
+    self-loop), as sets."""
+    for component in strongly_connected_components(
+        edges, lambda state: [c for c in edges[state] if c in edges]
+    ):
+        if len(component) > 1 or component[0] in edges[component[0]]:
+            yield set(component)
 
 
 # -- covering enumeration and always-valence-connectivity --------------------

@@ -108,8 +108,8 @@ def verify_protocol_solves(
     """Exhaustively check a protocol against a task in each 1-resilient
     layered submodel; returns the per-model reports.
 
-    Each model gets its own memoization cache (``cache=False`` disables,
-    an int bounds it); reports are identical either way.  ``preflight``
+    Each model gets its own memoization cache (``cache=False``
+    disables it); reports are identical either way.  ``preflight``
     (default on) contract-probes each layered system first, diagnosing an
     ill-formed protocol as ``ILL_FORMED`` instead of exploring it."""
     systems = models or one_resilient_layerings(protocol, problem.n)

@@ -1,11 +1,15 @@
-"""Small explicit-graph algorithms used by the connectivity analyses.
+"""Small explicit-graph algorithms used by the analyses.
 
 The paper reasons about two graphs over sets of global states: the
 *similarity graph* ``(X, ~s)`` and the *valence graph* ``(X, ~v)``
-(Definition 3.1).  Both are small, undirected and built explicitly, so the
-only algorithms needed are connectivity, components, shortest paths and
-diameter.  Implementing them here (rather than importing networkx) keeps the
-core library dependency-free and the algorithms one screen long.
+(Definition 3.1).  Both are small, undirected and built explicitly; for
+them this module provides connectivity, components, shortest paths and
+diameter.  The state-space engines (valence and outcome analyzers) also
+need one directed algorithm: the strongly connected components of an
+explored successor graph, in the order a backwards fold over its
+condensation consumes them (:func:`strongly_connected_components`).
+Implementing these here (rather than importing networkx) keeps the core
+library dependency-free and the algorithms one screen long.
 
 Vertices can be arbitrary hashable objects (global states, simplexes, ...).
 """
@@ -13,7 +17,7 @@ Vertices can be arbitrary hashable objects (global states, simplexes, ...).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from typing import Optional
 
 
@@ -160,3 +164,59 @@ def diameter(graph: Graph) -> int:
             raise ValueError("diameter of a disconnected graph is undefined")
         best = max(best, max(dist.values()))
     return best
+
+
+def strongly_connected_components(
+    roots: Iterable[Hashable],
+    successors: Callable[[Hashable], Iterable[Hashable]],
+) -> Iterator[list[Hashable]]:
+    """The strongly connected components reachable from *roots*
+    (iterative Tarjan), each as a list of vertices.
+
+    A component is yielded only after every component reachable from it,
+    i.e. in reverse topological order of the condensation, so a fold
+    running backwards over the graph finds every successor outside the
+    component already folded.  ``successors(v)`` is called once, when
+    *v* is first reached, and iterated lazily; a caller prunes the graph
+    (e.g. skips vertices whose result is already known) by filtering
+    inside it.  The filter may change while the generator is suspended:
+    dropping vertices of components already yielded (say, because the
+    caller just memoized them) changes nothing, as they are finished.
+    """
+    index: dict[Hashable, int] = {}
+    lowlink: dict[Hashable, int] = {}
+    on_stack: set[Hashable] = set()
+    scc_stack: list[Hashable] = []
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = lowlink[root] = len(index)
+        scc_stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
+        while work:
+            vertex, children = work[-1]
+            for child in children:
+                if child not in index:
+                    index[child] = lowlink[child] = len(index)
+                    scc_stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(successors(child))))
+                    break
+                if child in on_stack and index[child] < lowlink[vertex]:
+                    lowlink[vertex] = index[child]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[vertex] < lowlink[parent]:
+                        lowlink[parent] = lowlink[vertex]
+                if lowlink[vertex] == index[vertex]:
+                    component = []
+                    while True:
+                        member = scc_stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == vertex:
+                            break
+                    yield component

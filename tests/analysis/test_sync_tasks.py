@@ -7,12 +7,14 @@ from repro.analysis.sync_tasks import (
     lemma_7_5_consistency,
 )
 from repro.core.checker import Verdict
+from repro.core.valence import ExplorationLimitExceeded
 from repro.protocols.floodset import FloodSet
 from repro.protocols.tasks import (
     DecideConstantProtocol,
     DecideOwnInput,
     EpsilonAgreementProtocol,
 )
+from repro.resilience.budget import Budget
 from repro.tasks.catalog import (
     binary_consensus,
     constant_task,
@@ -47,6 +49,20 @@ class TestPositiveInstances:
         )
         assert report.verdict is Verdict.DECISION
         assert "undecided after 0 round" in report.detail
+
+
+class TestBudget:
+    def test_round_bound_trip_raises_the_budget_error(self):
+        """The round-bound BFS runs on its own meter after the task check;
+        when it trips it raises the same error as every other engine,
+        which the CLI maps to exit 2."""
+        # The task check charges each input facet's 8 states to a fresh
+        # meter; the round-bound BFS charges all facets to one.
+        with pytest.raises(ExplorationLimitExceeded, match="round-bound"):
+            check_solves_in_rounds(
+                epsilon_agreement(3), EpsilonAgreementProtocol(), t=1,
+                rounds=1, budget=Budget(max_states=8),
+            )
 
 
 class TestNegativeControls:

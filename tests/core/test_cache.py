@@ -132,41 +132,6 @@ class TestInterning:
         assert hash(canonical) == hash(original)
 
 
-class TestLRUEviction:
-    def test_bound_is_enforced(self, toy):
-        cached = CachedSystem(toy, max_entries=2)
-        for name in ("x", "a", "b", "da", "db"):
-            cached.successors(toy.state(name))
-        assert len(cached._successors) <= 2
-        assert cached.stats().evictions == 3
-
-    def test_evicted_entries_recompute_correctly(self, toy):
-        counting = CountingSystem(toy)
-        cached = CachedSystem(counting, max_entries=1)
-        x = toy.state("x")
-        a = toy.state("a")
-        first = list(cached.successors(x))
-        cached.successors(a)  # evicts x
-        again = list(cached.successors(x))  # recomputed, same value
-        assert again == first
-        assert counting.calls["successors"] == 3
-
-    def test_recently_used_entries_survive(self, toy):
-        counting = CountingSystem(toy)
-        cached = CachedSystem(counting, max_entries=2)
-        x, a, b = toy.state("x"), toy.state("a"), toy.state("b")
-        cached.successors(x)
-        cached.successors(a)
-        cached.successors(x)  # refresh x: a is now least recent
-        cached.successors(b)  # evicts a, not x
-        cached.successors(x)
-        assert counting.calls["successors"] == 3  # x never recomputed
-
-    def test_invalid_bound_rejected(self, toy):
-        with pytest.raises(ValueError):
-            CachedSystem(toy, max_entries=0)
-
-
 class TestResolveCache:
     def test_none_and_false_leave_the_system_alone(self, toy):
         assert resolve_cache(toy, None) is toy
@@ -175,12 +140,11 @@ class TestResolveCache:
     def test_true_wraps_unbounded(self, toy):
         cached = resolve_cache(toy, True)
         assert isinstance(cached, CachedSystem)
-        assert cached.max_entries is None
         assert cached.uncached is toy
 
-    def test_int_wraps_with_bound(self, toy):
-        cached = resolve_cache(toy, 128)
-        assert cached.max_entries == 128
+    def test_other_specs_rejected(self, toy):
+        with pytest.raises(TypeError):
+            resolve_cache(toy, 128)
 
     def test_prebuilt_cache_is_shared(self, toy):
         shared = CachedSystem(toy)
@@ -209,12 +173,11 @@ class TestTransparency:
             cached._no_such_private_attribute
 
     def test_pickle_keeps_config_drops_contents(self, toy):
-        cached = CachedSystem(toy, max_entries=7)
+        cached = CachedSystem(toy)
         cached.successors(toy.state("x"))
         assert cached.stats().misses == 1
         clone = pickle.loads(pickle.dumps(cached))
         assert isinstance(clone, CachedSystem)
-        assert clone.max_entries == 7
         fresh = clone.stats()
         assert fresh.hits == 0 and fresh.misses == 0 and fresh.entries == 0
         # The clone still answers correctly (warming its own cache).
@@ -234,21 +197,20 @@ class TestTransparency:
 
 class TestStats:
     def test_hit_ratio(self):
-        stats = CacheStats(3, 1, 0, 0, 0, 0, 0)
+        stats = CacheStats(3, 1, 0, 0, 0, 0)
         assert stats.hit_ratio == 0.75
-        assert CacheStats(0, 0, 0, 0, 0, 0, 0).hit_ratio == 0.0
+        assert CacheStats(0, 0, 0, 0, 0, 0).hit_ratio == 0.0
 
     def test_describe_mentions_the_essentials(self):
-        text = CacheStats(10, 5, 4, 7, 2, 1, 2048).describe()
+        text = CacheStats(10, 5, 4, 7, 2, 2048).describe()
         assert "10 hits" in text and "5 misses" in text
         assert "7 interned" in text and "2048 bytes" in text
-        assert "1 eviction" in text
 
     def test_merge_sums_componentwise(self):
         merged = merge_cache_stats(
-            [CacheStats(1, 2, 3, 4, 5, 6, 7), CacheStats(10, 20, 30, 40, 50, 60, 70)]
+            [CacheStats(1, 2, 3, 4, 5, 6), CacheStats(10, 20, 30, 40, 50, 60)]
         )
-        assert merged == CacheStats(11, 22, 33, 44, 55, 66, 77)
+        assert merged == CacheStats(11, 22, 33, 44, 55, 66)
 
     def test_aggregate_includes_live_and_retired_caches(self, toy):
         before = aggregate_stats()

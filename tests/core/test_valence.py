@@ -140,6 +140,20 @@ class TestLimits:
         with pytest.raises(ExplorationLimitExceeded):
             an.valence(sys.state("s0"))
 
+    @pytest.mark.parametrize("engine", ["valence", "outcome"])
+    def test_root_charge_trips(self, toy_diamond, engine):
+        """The root's own charge counts: with no state budget at all,
+        both region explorers raise, even on a terminal root."""
+        from repro.tasks.covering import OutcomeAnalyzer
+
+        root = toy_diamond.state("da")
+        budget = Budget(max_states=0)
+        with pytest.raises(ExplorationLimitExceeded, match="states"):
+            if engine == "valence":
+                ValenceAnalyzer(toy_diamond, budget).valence(root)
+            else:
+                OutcomeAnalyzer(toy_diamond, budget).outcome(root)
+
     def test_cross_query_reuse(self, toy_diamond):
         an = ValenceAnalyzer(toy_diamond)
         r1 = an.valence(toy_diamond.state("a"))

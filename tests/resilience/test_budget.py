@@ -285,6 +285,24 @@ class TestKeyboardInterrupt:
         assert report.budget_stats.limit == LIMIT_INTERRUPTED
         assert report.checkpoint is not None
 
+    def test_task_checker_propagates_interrupt(self):
+        """The task checker shares the consensus checker's search, which
+        turns Ctrl-C into a stopped frontier; with no UNKNOWN verdict to
+        report, the task checker re-raises it."""
+        from repro.tasks.catalog import binary_consensus
+        from repro.tasks.simplex import Simplex
+
+        edges = {f"s{i}": [("n", f"s{i+1}")] for i in range(20)}
+        edges["s20"] = [("s", "s20")]
+        sys_ = _InterruptingSystem(
+            edges=edges,
+            decisions={"s20": {0: 0, 1: 0}},
+            interrupt_after=5,
+        )
+        checker = TaskChecker(sys_, binary_consensus(2), preflight=False)
+        with pytest.raises(KeyboardInterrupt):
+            checker.check(sys_.state("s0"), Simplex.from_values((0, 0)))
+
 
 #: Every public engine and driver that explores a state space.
 ENTRY_POINTS = [

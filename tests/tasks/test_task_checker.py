@@ -23,6 +23,7 @@ from repro.tasks.catalog import (
 )
 from repro.tasks.checker import TaskChecker
 from repro.tasks.simplex import Simplex
+from tests.conftest import ToySystem
 
 
 def perm_layering(protocol):
@@ -112,3 +113,30 @@ class TestBudget:
         )
         with pytest.raises(ExplorationLimitExceeded, match="budget"):
             checker.check_all(layering.model)
+
+
+class TestWriteOnceWitness:
+    """Regression: the witness of a decision overwrite must end on the
+    overwriting edge.  Here ``c`` is discovered first straight from
+    ``x``, where nothing was decided; only the later edge ``s -> c``
+    overwrites process 0's decision.  The task checker used to report
+    ``c``'s BFS path ``x -p-> c``, which shows no overwrite at all."""
+
+    def test_witness_is_the_overwriting_edge(self):
+        from repro.core.checker import ConsensusChecker
+
+        system = ToySystem(
+            edges={"x": [("p", "c"), ("q", "s")], "s": [("u", "c")]},
+            decisions={"s": {0: 0}, "c": {0: 1, 1: 1}},
+        )
+        x = system.state("x")
+        report = TaskChecker(
+            system, binary_consensus(2), preflight=False
+        ).check(x, Simplex.from_values((0, 1)))
+        assert report.verdict is Verdict.WRITE_ONCE
+        assert report.execution.actions == ("q", "u")
+        assert report.execution.states == (
+            x, system.state("s"), system.state("c")
+        )
+        consensus = ConsensusChecker(system, preflight=False).check(x, (0, 1))
+        assert report.execution == consensus.execution

@@ -9,6 +9,7 @@ from repro.util.graphs import (
     is_connected,
     shortest_path,
     shortest_path_lengths,
+    strongly_connected_components,
 )
 
 
@@ -130,3 +131,25 @@ class TestDiameter:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             diameter(Graph())
+
+
+class TestStronglyConnectedComponents:
+    def test_components_arrive_after_their_successors(self):
+        edges = {
+            "a": ["b"], "b": ["c", "a"], "c": ["d"], "d": ["c", "e"],
+            "e": [], "f": ["a"],
+        }
+        order = [
+            sorted(c)
+            for c in strongly_connected_components("af", edges.__getitem__)
+        ]
+        assert order == [["e"], ["c", "d"], ["a", "b"], ["f"]]
+
+    def test_filtered_successors_prune_the_graph(self):
+        edges = {"a": ["b", "c"], "b": ["a"], "c": ["a"]}
+        order = list(
+            strongly_connected_components(
+                ["a"], lambda v: [w for w in edges[v] if w != "c"]
+            )
+        )
+        assert [sorted(c) for c in order] == [["a", "b"]]
