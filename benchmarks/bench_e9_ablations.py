@@ -14,12 +14,9 @@ import pytest
 
 from benchmarks.helpers import save_table
 from repro.analysis.reports import render_table
-from repro.analysis.statistics import (
-    FilteredLayering,
-    layer_statistics,
-    submodel_size,
-)
+from repro.analysis.statistics import FilteredLayering, layer_statistics
 from repro.core.checker import ConsensusChecker, Verdict
+from repro.core.exploration import explore
 from repro.core.valence import ValenceAnalyzer
 from repro.layerings.permutation import PermutationLayering
 from repro.layerings.s1_mobile import S1MobileLayering
@@ -60,7 +57,7 @@ def test_e9_layer_widths_table(benchmark):
             analyzer = ValenceAnalyzer(layering, budget=BUDGET)
             state = layering.model.initial_state((0, 1, 1))
             stats = layer_statistics(name, layering, state, analyzer)
-            size = submodel_size(
+            size = explore(
                 layering,
                 [state],
                 max_depth=2,

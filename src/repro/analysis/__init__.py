@@ -43,7 +43,6 @@ from repro.analysis.statistics import (
     FilteredLayering,
     LayerStats,
     layer_statistics,
-    submodel_size,
 )
 from repro.analysis.sync_tasks import (
     check_solves_in_rounds,
@@ -94,7 +93,6 @@ __all__ = [
     "render_verdict_rows",
     "solvability_matrix",
     "standard_layerings",
-    "submodel_size",
     "synchronous_bivalent_start",
     "theorem_7_7_table",
     "verify_tight_protocols",

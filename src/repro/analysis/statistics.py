@@ -1,11 +1,11 @@
 """State-space statistics for the ablation experiments (E9).
 
-Measures what the layerings actually buy: layer widths per model, the
-reachable submodel sizes, the memoization/sharing behaviour of the
-canonical state representation, and the effect of removing structural
-pieces of a layering (the ``(j, A)`` absent actions of the synchronic
-layerings, the short schedules of the permutation layering) on the
-connectivity structure the proofs rely on.
+Measures what the layerings actually buy: layer widths per model and
+the effect of removing structural pieces of a layering (the ``(j, A)``
+absent actions of the synchronic layerings, the short schedules of the
+permutation layering) on the connectivity structure the proofs rely on.
+Reachable submodel sizes and sharing come from
+:func:`repro.core.exploration.explore`.
 """
 
 from __future__ import annotations
@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.exploration import ExplorationStats, explore
 from repro.core.similarity import is_similarity_connected
 from repro.core.state import GlobalState
 from repro.core.valence import ValenceAnalyzer
 from repro.layerings.base import Layering
-from repro.resilience.budget import DEFAULT_BUDGET, Budget
 
 
 @dataclass(frozen=True)
@@ -88,13 +86,3 @@ class FilteredLayering(Layering):
 
     def nonfaulty_under(self, action):
         return self._inner.nonfaulty_under(action)
-
-
-def submodel_size(
-    layering,
-    initial_states: list[GlobalState],
-    max_depth: Optional[int] = None,
-    budget: Budget = DEFAULT_BUDGET,
-) -> ExplorationStats:
-    """Reachable-state statistics of the layered submodel."""
-    return explore(layering, initial_states, max_depth, budget)

@@ -25,6 +25,7 @@ from collections import deque
 from typing import Optional
 
 from repro.core.checker import Verdict
+from repro.core.run import Execution
 from repro.core.state import GlobalState
 from repro.core.valence import ExplorationLimitExceeded, all_nonfailed_decided
 from repro.layerings.st_synchronous import StSynchronousLayering
@@ -63,6 +64,10 @@ def check_solves_in_rounds(
     return report
 
 
+#: A round-bound BFS node: a state and the number of layers taken to it.
+_Node = tuple[GlobalState, int]
+
+
 def _round_bound_breach(
     layering: StSynchronousLayering,
     problem: DecisionProblem,
@@ -70,43 +75,61 @@ def _round_bound_breach(
     budget: Budget,
 ) -> Optional[TaskReport]:
     """BFS every run to depth *rounds*; an undecided frontier state is a
-    breach of the round bound."""
-    from repro.core.run import Execution
+    breach of the round bound, reported with the run that reaches it.
 
+    Nodes are ``(state, depth)`` pairs, since a protocol's local state
+    need not record the round; each keeps its BFS parent edge so the
+    witness replays from the model's initial state.
+    """
     model = layering.model
     meter = budget.meter()
     for facet in sorted(problem.input_facets(), key=repr):
         assignment = [facet.value_of(i) for i in range(problem.n)]
         initial = model.initial_state(assignment)
-        frontier: deque[tuple[GlobalState, int]] = deque([(initial, 0)])
-        seen = {(initial, 0)}
+        root: _Node = (initial, 0)
+        frontier: deque[_Node] = deque([root])
+        parent: dict[_Node, Optional[tuple[_Node, object]]] = {root: None}
         while frontier:
-            state, depth = frontier.popleft()
+            node = frontier.popleft()
+            state, depth = node
             if all_nonfailed_decided(model, state):
                 continue
             if depth >= rounds:
                 return TaskReport(
                     verdict=Verdict.DECISION,
                     input_facet=facet,
-                    execution=Execution((state,)),
+                    execution=_path_to(node, parent),
                     cycle=None,
                     detail=(
                         f"some run undecided after {rounds} round(s); "
                         f"undecided non-failed processes remain"
                     ),
-                    states_explored=len(seen),
+                    states_explored=len(parent),
                 )
-            for _, child in layering.successors(state):
+            for action, child in layering.successors(state):
                 key = (child, depth + 1)
-                if key not in seen:
+                if key not in parent:
                     tripped = meter.charge_state(child)
                     if tripped is not None:
                         raise ExplorationLimitExceeded(
                             f"round-bound BFS budget exhausted ({tripped})"
                         )
-                    seen.add(key)
+                    parent[key] = (node, action)
                     frontier.append(key)
     return None
+
+
+def _path_to(
+    node: _Node, parent: dict[_Node, Optional[tuple[_Node, object]]]
+) -> Execution:
+    """The execution from the BFS root to *node* along parent edges."""
+    states = [node[0]]
+    actions = []
+    while parent[node] is not None:
+        node, action = parent[node]
+        states.append(node[0])
+        actions.append(action)
+    return Execution(tuple(reversed(states)), tuple(reversed(actions)))
 
 
 def lemma_7_5_consistency(

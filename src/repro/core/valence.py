@@ -58,20 +58,11 @@ class ExplorationLimitExceeded(RuntimeError):
     reachable state space (see :mod:`repro.protocols.base`), or the model
     instance is too large for exhaustive analysis.  The engines whose
     results cannot express partiality raise it: the valence and outcome
-    analyzers, :func:`~repro.core.exploration.reachable_states` (and its
-    parallel variant) and the task checker.  The consensus checker and
+    analyzers, :func:`~repro.core.exploration.reachable_states` and the
+    task checker.  The consensus checker and
     :func:`~repro.core.exploration.explore` report exhaustion through
     their results instead.
-
-    ``shard`` is the index of the exploration shard whose budget tripped
-    when the exception is re-raised by a *parallel* engine (``None`` for
-    sequential runs) — structured so callers can retarget or re-budget
-    the failing shard without parsing the message text.
     """
-
-    def __init__(self, *args, shard: "int | None" = None):
-        super().__init__(*args)
-        self.shard = shard
 
 
 def all_nonfailed_decided(system, state: GlobalState) -> bool:

@@ -38,12 +38,7 @@ provides on top of the core engines:
 checker, which itself uses this package's budgets).
 """
 
-from repro.resilience.budget import (
-    Budget,
-    BudgetMeter,
-    BudgetStats,
-    merge_stats,
-)
+from repro.resilience.budget import Budget, BudgetMeter, BudgetStats
 from repro.resilience.chaos import (
     CampaignTarget,
     ChaosInjected,
@@ -114,7 +109,6 @@ __all__ = [
     "crashpoint",
     "exception_category",
     "load_journal",
-    "merge_stats",
     "pool_config_for",
     "run_units",
     "system_fingerprint",

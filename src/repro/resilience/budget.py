@@ -1,7 +1,7 @@
 """Resource budgets for exhaustive searches (the resilience layer's core).
 
 Every exhaustive engine in this library — the consensus checker, the
-valence analyzer, the reachability explorers, the task/outcome checkers —
+valence analyzer, the reachability explorer, the task/outcome checkers —
 walks a finite but potentially huge state space, and each takes one
 ``budget: Budget`` parameter (default :data:`DEFAULT_BUDGET`).  A
 :class:`Budget` is a bundle of cooperative limits:
@@ -27,7 +27,7 @@ What an engine does when its budget runs out is fixed per engine:
 report with a resumable checkpoint and
 :func:`~repro.core.exploration.explore` returns ``complete=False``
 statistics, while every engine whose result cannot express partiality
-(the valence and outcome analyzers, the reachable-set explorers, the
+(the valence and outcome analyzers, the reachable-set explorer, the
 task checker) raises :class:`~repro.core.valence.ExplorationLimitExceeded`.
 """
 
@@ -74,52 +74,6 @@ class Budget:
     def unlimited(cls) -> "Budget":
         """A budget with no limits at all."""
         return cls()
-
-    def split(self, shards: int) -> tuple["Budget", ...]:
-        """The per-shard budgets for ``shards``-way parallel execution.
-
-        Countable limits (states, edges, memory) **partition exactly**:
-        the sum of every child limit equals the parent's, with the
-        remainder of the integer division spread one-per-shard over the
-        leading shards.  (The historical ceiling division handed every
-        shard ``ceil(limit/shards)``, silently over-allocating up to
-        ``shards - 1`` extra units — a 10-state budget split 3 ways
-        authorized 12 states.)  A limit smaller than the shard count
-        leaves the trailing shards with a zero budget, which trips on
-        their first charge — exactly what the parent budget would have
-        done to that work.  The wall-clock **deadline is shared
-        unchanged** — shards run concurrently, so each may use the full
-        remaining time.  Shard meters are re-aggregated on merge with
-        :func:`merge_stats`.
-        """
-        if shards <= 1:
-            return (self,)
-
-        def _parts(value: Optional[int]) -> list[Optional[int]]:
-            if value is None:
-                return [None] * shards
-            quotient, remainder = divmod(value, shards)
-            return [
-                quotient + (1 if index < remainder else 0)
-                for index in range(shards)
-            ]
-
-        states = _parts(self.max_states)
-        edges = _parts(self.max_edges)
-        memory = _parts(self.max_memory_bytes)
-        children = []
-        for index in range(shards):
-            child = Budget(
-                max_states=states[index],
-                max_edges=edges[index],
-                max_seconds=self.max_seconds,
-                max_memory_bytes=memory[index],
-            )
-            # Re-anchor the child's deadline to the parent's: splitting
-            # must not extend the total wall clock.
-            object.__setattr__(child, "deadline", self.deadline)
-            children.append(child)
-        return tuple(children)
 
     def meter(self) -> "BudgetMeter":
         """A fresh mutable meter counting against this budget."""
@@ -289,27 +243,6 @@ class BudgetMeter:
             frontier=frontier,
             depth=depth,
         )
-
-
-def merge_stats(parts: "list[BudgetStats]") -> BudgetStats:
-    """Re-aggregate per-shard meters after a parallel run.
-
-    Counters sum, wall clock is the slowest shard (they ran
-    concurrently), and the reported limit is the first shard's tripped
-    limit in shard order — a deterministic merge regardless of which
-    shard finished first.
-    """
-    if not parts:
-        return BudgetStats(states=0, edges=0, seconds=0.0, memory_bytes=0)
-    return BudgetStats(
-        states=sum(p.states for p in parts),
-        edges=sum(p.edges for p in parts),
-        seconds=max(p.seconds for p in parts),
-        memory_bytes=sum(p.memory_bytes for p in parts),
-        limit=next((p.limit for p in parts if p.limit is not None), None),
-        frontier=sum(p.frontier for p in parts),
-        depth=max(p.depth for p in parts),
-    )
 
 
 def _state_bytes(state: object) -> int:

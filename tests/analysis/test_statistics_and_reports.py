@@ -1,12 +1,9 @@
 """Tests for the ablation statistics and table rendering."""
 
 from repro.analysis.reports import render_table, render_verdict_rows
-from repro.analysis.statistics import (
-    FilteredLayering,
-    layer_statistics,
-    submodel_size,
-)
+from repro.analysis.statistics import FilteredLayering, layer_statistics
 from repro.analysis.sync_lower_bound import defeat_fast_candidates
+from repro.core.exploration import explore
 from repro.core.similarity import is_similarity_connected
 from repro.core.valence import ValenceAnalyzer
 from repro.layerings.synchronic_rw import SynchronicRWLayering
@@ -72,7 +69,7 @@ class TestFilteredLayering:
 class TestSubmodelSize:
     def test_explores(self):
         layering = make_layering()
-        stats = submodel_size(
+        stats = explore(
             layering,
             [layering.model.initial_state((0, 1, 1))],
             max_depth=1,

@@ -8,6 +8,8 @@ from repro.analysis.sync_tasks import (
 )
 from repro.core.checker import Verdict
 from repro.core.valence import ExplorationLimitExceeded
+from repro.layerings.st_synchronous import StSynchronousLayering
+from repro.models.sync import SynchronousModel
 from repro.protocols.floodset import FloodSet
 from repro.protocols.tasks import (
     DecideConstantProtocol,
@@ -49,6 +51,26 @@ class TestPositiveInstances:
         )
         assert report.verdict is Verdict.DECISION
         assert "undecided after 0 round" in report.detail
+
+
+class TestRoundBoundWitness:
+    def test_witness_replays_from_an_initial_state(self):
+        """A round-bound breach is reported with the run that reaches
+        the undecided state: it starts at an initial state of the model
+        and each action, applied under ``S^t``, yields the next state."""
+        report = check_solves_in_rounds(
+            binary_consensus(3), FloodSet(2), t=1, rounds=1
+        )
+        assert report.verdict is Verdict.DECISION
+        model = SynchronousModel(FloodSet(2), 3, 1)
+        layering = StSynchronousLayering(model)
+        execution = report.execution
+        assert execution.initial in model.initial_states((0, 1))
+        assert execution.length == 1
+        for state, action, after in zip(
+            execution.states, execution.actions, execution.states[1:]
+        ):
+            assert layering.apply(state, action) == after
 
 
 class TestBudget:

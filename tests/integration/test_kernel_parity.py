@@ -161,8 +161,10 @@ ROUNDS_CELLS = {
         ("satisfied", 84, NO_WITNESS),
     ),
     "consensus-floodset2-1r": (
+        # Re-pinned when the round-bound witness became the run from the
+        # initial state to the undecided one (one layer here).
         binary_consensus, lambda: FloodSet(2), 1,
-        ("decision-violation", 5, "cf9c5ff3a2d53c3a"),
+        ("decision-violation", 5, "f17d24c7100f779b"),
     ),
 }
 

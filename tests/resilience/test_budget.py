@@ -3,22 +3,15 @@
 import inspect
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.analysis import (
     impossibility,
     solvability_experiments,
-    statistics,
     sync_lower_bound,
     sync_tasks,
 )
 from repro.core.checker import ConsensusChecker, Verdict
-from repro.core.exploration import (
-    explore,
-    reachable_states,
-    reachable_states_parallel,
-)
+from repro.core.exploration import explore, reachable_states
 from repro.core.valence import ValenceAnalyzer
 from repro.resilience import mutation
 from repro.resilience.budget import (
@@ -29,7 +22,6 @@ from repro.resilience.budget import (
     LIMIT_INTERRUPTED,
     LIMIT_STATES,
     LIMIT_TIME,
-    merge_stats,
 )
 from repro.tasks import solvability
 from repro.tasks.checker import TaskChecker
@@ -53,103 +45,6 @@ class TestBudgetOf:
     def test_zero_and_negative_trip_immediately(self, limit):
         meter = Budget(max_states=limit).meter()
         assert meter.charge_state() == LIMIT_STATES
-
-
-class TestBudgetSplit:
-    def test_counts_partition_exactly(self):
-        shards = Budget(max_states=10, max_edges=7).split(3)
-        assert [s.max_states for s in shards] == [4, 3, 3]
-        assert [s.max_edges for s in shards] == [3, 2, 2]
-        assert sum(s.max_states for s in shards) == 10
-        assert sum(s.max_edges for s in shards) == 7
-
-    def test_no_remainder_over_allocation(self):
-        # The historical ceiling division handed every shard
-        # ceil(limit/shards): a 10-state budget split 3 ways authorized
-        # 12 states in aggregate.  The partition must never exceed the
-        # parent.
-        shards = Budget(max_states=10).split(3)
-        assert sum(s.max_states for s in shards) == 10
-
-    def test_single_shard_is_identity(self):
-        b = Budget(max_states=10)
-        assert b.split(1) == (b,)
-        assert b.split(1)[0] is b
-
-    def test_unlimited_stays_unlimited(self):
-        shards = Budget.unlimited().split(4)
-        assert len(shards) == 4
-        assert all(s.max_states is None for s in shards)
-        assert all(s.max_edges is None for s in shards)
-
-    def test_limit_smaller_than_shard_count(self):
-        # 2 states over 8 shards: two shards get 1, six get 0 (which
-        # trip on their first charge — what the parent would have done).
-        shards = Budget(max_states=2).split(8)
-        assert [s.max_states for s in shards] == [1, 1, 0, 0, 0, 0, 0, 0]
-        assert shards[-1].meter().charge_state() == LIMIT_STATES
-
-    def test_deadline_shared_not_extended(self):
-        b = Budget(max_seconds=60.0)
-        for shard in b.split(4):
-            assert shard.deadline == b.deadline
-            assert shard.max_seconds == b.max_seconds
-
-    @given(
-        limit=st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),
-        edges=st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),
-        memory=st.one_of(
-            st.none(), st.integers(min_value=0, max_value=10**9)
-        ),
-        shards=st.integers(min_value=1, max_value=64),
-    )
-    def test_property_children_sum_to_parent(
-        self, limit, edges, memory, shards
-    ):
-        parent = Budget(
-            max_states=limit, max_edges=edges, max_memory_bytes=memory
-        )
-        children = parent.split(shards)
-        assert len(children) == shards
-        for name in ("max_states", "max_edges", "max_memory_bytes"):
-            parts = [getattr(c, name) for c in children]
-            total = getattr(parent, name)
-            if total is None:
-                assert all(p is None for p in parts)
-            else:
-                assert sum(parts) == total
-                # Remainder spreads one-per-shard over the leading
-                # shards: the allocation is monotone non-increasing and
-                # never varies by more than one unit.
-                assert parts == sorted(parts, reverse=True)
-                assert parts[0] - parts[-1] <= 1
-
-
-class TestMergeStats:
-    def test_counters_sum_and_clock_maxes(self):
-        merged = merge_stats(
-            [
-                BudgetStats(states=3, edges=5, seconds=1.0, memory_bytes=10),
-                BudgetStats(states=4, edges=6, seconds=2.5, memory_bytes=20),
-            ]
-        )
-        assert merged.states == 7 and merged.edges == 11
-        assert merged.seconds == 2.5
-        assert merged.memory_bytes == 30
-
-    def test_limit_is_first_in_shard_order(self):
-        merged = merge_stats(
-            [
-                BudgetStats(0, 0, 0.0, 0, limit=None),
-                BudgetStats(0, 0, 0.0, 0, limit=LIMIT_STATES),
-                BudgetStats(0, 0, 0.0, 0, limit=LIMIT_EDGES),
-            ]
-        )
-        assert merged.limit == LIMIT_STATES
-
-    def test_empty_merges_to_zero(self):
-        merged = merge_stats([])
-        assert merged.states == 0 and merged.limit is None
 
 
 class TestMeter:
@@ -310,7 +205,6 @@ ENTRY_POINTS = [
     ValenceAnalyzer,
     explore,
     reachable_states,
-    reachable_states_parallel,
     TaskChecker,
     OutcomeAnalyzer,
     solvability.verify_protocol_solves,
@@ -325,7 +219,6 @@ ENTRY_POINTS = [
     sync_lower_bound.verify_tight_protocols,
     sync_lower_bound.lemma_6_4,
     sync_tasks.check_solves_in_rounds,
-    statistics.submodel_size,
     solvability_experiments.solvability_matrix,
     solvability_experiments.lemma_7_1_run,
     solvability_experiments.diameter_table,
